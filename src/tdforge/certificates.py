@@ -15,9 +15,8 @@ from typing import Dict, FrozenSet, List, Tuple
 from .constructions import ReflectedTree
 from .decomposition import TreeDecomposition, is_anchored, validate
 from .errors import CertificateContradiction, HypothesisViolated, StructureViolation
-from .graphs import (Cycle, Edge, Graph, Matching, Vertex, edge,
-                     fundamental_cycle, is_connected, is_spanning_tree,
-                     path_edges, tree_path)
+from .graphs import (Edge, Graph, HostTree, Matching, Vertex, component_in,
+                     connected_in, path_edges)
 
 
 @dataclass(frozen=True)
@@ -33,25 +32,13 @@ class WidthCertificate:
     cycles: Dict[Edge, FrozenSet[Vertex]]
 
 
-def _components(g: Graph) -> List[frozenset]:
-    left = set(g.vertices)
-    out = []
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        out.append(frozenset(comp))
-        left -= comp
-    return out
-
-
 def _collect_matching(rt: ReflectedTree, t: Graph) -> List[Edge]:
+    """The matching edges contributed at rt's level and below.
+
+    t is a spanning tree of the whole reflected tree; only its edges inside
+    rt matter, so the recursion restricts traversals to vertex sets of t
+    rather than building restricted subgraphs.
+    """
     if rt.level == 2:
         extra = sorted(rt.graph.edges - t.edges)
         if len(extra) != 1:
@@ -60,8 +47,8 @@ def _collect_matching(rt: ReflectedTree, t: Graph) -> List[Edge]:
         return extra
     left, right = rt.copies
     u, v = rt.roots
-    conn_left = is_connected(t.subgraph(left.graph.vertex_set | {u, v}))
-    conn_right = is_connected(t.subgraph(right.graph.vertex_set | {u, v}))
+    conn_left = connected_in(t, left.graph.vertex_set | {u, v})
+    conn_right = connected_in(t, right.graph.vertex_set | {u, v})
     if conn_left == conn_right:
         raise StructureViolation(
             f"level {rt.level}: expected exactly one connected root-augmented "
@@ -69,7 +56,11 @@ def _collect_matching(rt: ReflectedTree, t: Graph) -> List[Edge]:
     connected_copy = left if conn_left else right
     other_copy = right if conn_left else left
     side_vertices = other_copy.graph.vertex_set | {u, v}
-    comps = _components(t.subgraph(side_vertices))
+    comps = []
+    rest = set(side_vertices)
+    while rest:
+        comps.append(component_in(t, rest, min(rest)))
+        rest -= comps[-1]
     if len(comps) != 2:
         raise StructureViolation(
             f"level {rt.level}: disconnected side fell into {len(comps)} "
@@ -82,11 +73,12 @@ def _collect_matching(rt: ReflectedTree, t: Graph) -> List[Edge]:
         raise StructureViolation(
             f"level {rt.level}: no non-tree edge reconnects the disconnected side")
     crossing = min(candidates)
-    sub = t.subgraph(connected_copy.graph.vertex_set)
-    if not is_spanning_tree(connected_copy.graph, sub):
+    # t has no cycle, so its restriction to the copy is a spanning tree of
+    # the copy exactly when it is connected
+    if not connected_in(t, connected_copy.graph.vertex_set):
         raise StructureViolation(
             f"level {rt.level}: connected copy restriction is not a spanning tree")
-    return _collect_matching(connected_copy, sub) + [crossing]
+    return _collect_matching(connected_copy, t) + [crossing]
 
 
 def reflected_matching(rt: ReflectedTree, t: Graph) -> WidthCertificate:
@@ -99,12 +91,14 @@ def reflected_matching(rt: ReflectedTree, t: Graph) -> WidthCertificate:
     """
     if rt.level < 2:
         raise ValueError("certificates need level >= 2")
-    if not is_spanning_tree(rt.graph, t):
-        raise ValueError("t is not a spanning tree of the reflected tree")
+    try:
+        host = HostTree(rt.graph, t)
+    except ValueError:
+        raise ValueError("t is not a spanning tree of the reflected tree") from None
     matching_edges = _collect_matching(rt, t)
-    cycles = {e: fundamental_cycle(rt.graph, t, e) for e in matching_edges}
+    cycles = {e: host.cycle(e) for e in matching_edges}
     u, v = rt.roots
-    common = path_edges(tree_path(t, u, v))
+    common = path_edges(host.path(u, v))
     for cyc in cycles.values():
         common = common & cyc.edges
     if not common:
@@ -139,7 +133,9 @@ def verify_certificate(rt: ReflectedTree, cert: WidthCertificate) -> Certificate
     reasons = []
     if cert.level != rt.level:
         reasons.append(f"level {cert.level} does not match the graph's {rt.level}")
-    if not is_spanning_tree(rt.graph, cert.host):
+    try:
+        host = HostTree(rt.graph, cert.host)
+    except ValueError:
         reasons.append("host is not a spanning tree of the reflected tree")
         return CertificateCheck(False, tuple(reasons))
     edges = sorted(cert.matching.edges)
@@ -158,9 +154,9 @@ def verify_certificate(rt: ReflectedTree, cert: WidthCertificate) -> Certificate
     if reasons:
         return CertificateCheck(False, tuple(reasons))
     u, v = rt.roots
-    puv = path_edges(tree_path(cert.host, u, v))
+    puv = path_edges(host.path(u, v))
     for e in edges:
-        cyc = fundamental_cycle(rt.graph, cert.host, e)
+        cyc = host.cycle(e)
         if cyc.vertices != cert.cycles[e]:
             reasons.append(f"recorded cycle of {e!r} is wrong")
         if cert.hub not in cyc.vertices:

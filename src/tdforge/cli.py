@@ -87,11 +87,11 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
 class Run:
     """Collects inputs, outputs, and settings for the run manifest."""
 
-    def __init__(self, argv: Sequence[str], args: argparse.Namespace,
-                 settings: Settings):
+    def __init__(self, argv: Sequence[str], args: argparse.Namespace):
         self.argv = list(argv)
         self.seed = getattr(args, "seed", 0)
-        self.settings = settings
+        self.out = getattr(args, "out", None)
+        self.settings = Settings()
         self.started = time.time()
         self.inputs: Dict[str, str] = {}
         self.outputs: List[str] = []
@@ -114,12 +114,10 @@ class Run:
                 fh.write(text)
             self.outputs.append(path)
 
-    def finish(self) -> None:
-        if self.outputs:
-            base = self.outputs[0]
-            manifest_path = base + ".manifest.json"
-        else:
-            manifest_path = "tdforge.manifest.json"
+    def finish(self, exit_code: int, error: Optional[str]) -> None:
+        """Write the manifest; called on every exit path, failures included."""
+        manifest_path = (self.out + ".manifest.json" if self.out
+                         else "tdforge.manifest.json")
         manifest = {
             "command": self.argv,
             "version": __version__,
@@ -134,9 +132,14 @@ class Run:
             "started": datetime.fromtimestamp(
                 self.started, tz=timezone.utc).isoformat(),
             "wall_clock_seconds": round(time.time() - self.started, 6),
+            "exit_code": exit_code,
+            "error": error,
         }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, indent=2) + "\n")
+        try:
+            with open(manifest_path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(manifest, indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: run manifest not written: {exc}", file=sys.stderr)
 
 
 # ----------------------------------------------------------- arg pieces
@@ -570,24 +573,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = Run(["tdforge"] + argv, args)
+    code, error = EXIT_CHECK_FAILED, None  # as for an uncaught exception
     try:
-        settings = resolve_settings(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    run = Run(["tdforge"] + argv, args, settings)
-    try:
+        run.settings = resolve_settings(args)
         code = args.func(run, args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+            SizeExceeded, ScheduleTooLarge, CapExceeded) as exc:
+        error = type(exc).__name__
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SizeExceeded, ScheduleTooLarge, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
     except TdforgeError as exc:
+        error = type(exc).__name__
         print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    run.finish()
+        code = EXIT_CHECK_FAILED
+    except BaseException as exc:
+        error = type(exc).__name__
+        raise
+    finally:
+        run.finish(code, error)
     return code
 
 

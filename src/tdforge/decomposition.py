@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, TYPE_CHECKING
 
-from .graphs import Graph, Vertex, edge, is_spanning_tree, is_tree
+from .graphs import Graph, Vertex, connected_in, is_spanning_tree, is_tree
 
 if TYPE_CHECKING:
     from .constructions import GadgetInstance
@@ -125,26 +125,13 @@ def validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
         nodes = subtrees.get(v)
         if not nodes:
             violations.append(Violation(EMPTY_SUBTREE, v))
-        elif not _connected_in(td.host, nodes):
+        elif not connected_in(td.host, nodes):
             violations.append(Violation(DISCONNECTED_SUBTREE, v))
     for e in sorted(g.edges):
         u, v = e
         if not (subtrees.get(u, set()) & subtrees.get(v, set())):
             violations.append(Violation(UNCOVERED_EDGE, e))
     return ValidationReport(not violations, tuple(violations))
-
-
-def _connected_in(host: Graph, nodes: set) -> bool:
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in host.neighbors(x):
-            if y in nodes and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(nodes)
 
 
 def from_subtrees(host: Graph, assignment: Mapping[Vertex, Iterable[Vertex]]
@@ -163,7 +150,7 @@ def from_subtrees(host: Graph, assignment: Mapping[Vertex, Iterable[Vertex]]
         stray = ns - host.vertex_set
         if stray:
             raise ValueError(f"subtree of {v!r} uses non-host nodes: {sorted(stray)!r}")
-        if not _connected_in(host, ns):
+        if not connected_in(host, ns):
             raise ValueError(f"subtree of {v!r} is disconnected")
         for x in ns:
             bags[x].add(v)

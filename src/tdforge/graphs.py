@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 Vertex = object  # opaque, order-comparable token; str in practice
 Edge = Tuple[Vertex, Vertex]
@@ -186,20 +187,28 @@ class Matching:
         return frozenset(v for e in self.edges for v in e)
 
 
+def component_in(g: Graph, nodes: AbstractSet[Vertex], start: Vertex) -> Set[Vertex]:
+    """The vertices of nodes that start reaches in the subgraph of g induced
+    on nodes; start must be one of nodes. No subgraph is built."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in g.neighbors(x):
+            if y in nodes and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def connected_in(g: Graph, nodes: AbstractSet[Vertex]) -> bool:
+    """True iff the non-empty vertex set nodes induces a connected subgraph of g."""
+    return len(component_in(g, nodes, next(iter(nodes)))) == len(nodes)
+
+
 def is_connected(g: Graph) -> bool:
     """True iff g has exactly one connected component (empty graph: false)."""
-    if len(g) == 0:
-        return False
-    start = g.vertices[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(g)
+    return len(g) > 0 and connected_in(g, g.vertex_set)
 
 
 def is_tree(g: Graph) -> bool:
@@ -209,32 +218,6 @@ def is_tree(g: Graph) -> bool:
 def is_spanning_tree(g: Graph, t: Graph) -> bool:
     """True iff t is a tree on exactly V(g) using only edges of g."""
     return (t.vertex_set == g.vertex_set and t.edges <= g.edges and is_tree(t))
-
-
-def tree_path(t: Graph, a: Vertex, b: Vertex) -> List[Vertex]:
-    """The unique path from a to b in the tree t, as a vertex list.
-
-    tree_path(t, a, a) is [a].
-    """
-    if not is_tree(t):
-        raise ValueError("tree_path needs a tree")
-    if a not in t or b not in t:
-        raise ValueError(f"{a!r} or {b!r} not in the tree")
-    parent = {a: None}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for w in t.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
 
 
 def path_edges(path: List[Vertex]) -> FrozenSet[Edge]:
@@ -250,17 +233,87 @@ class Cycle:
     edges: FrozenSet[Edge]
 
 
+class HostTree:
+    """A spanning tree t of a graph g, checked once and indexed for paths.
+
+    Construction checks that t is a spanning tree of g and roots it at its
+    first vertex, recording each vertex's parent and depth in one traversal.
+    Path and cycle queries then climb from both ends to the common ancestor,
+    in time linear in the answer's length, without re-checking the tree.
+    """
+
+    __slots__ = ("graph", "tree", "_parent", "_depth")
+
+    def __init__(self, g: Graph, t: Graph):
+        if (t.vertex_set != g.vertex_set or not t.edges <= g.edges
+                or len(t.edges) != len(t) - 1):
+            raise ValueError("t is not a spanning tree of g")
+        root = t.vertices[0]
+        parent = {root: root}
+        depth = {root: 0}
+        order = [root]
+        for x in order:
+            for y in t.neighbors(x):
+                if y not in parent:
+                    parent[y] = x
+                    depth[y] = depth[x] + 1
+                    order.append(y)
+        # n-1 edges and connected: a tree
+        if len(order) != len(t):
+            raise ValueError("t is not a spanning tree of g")
+        self.graph = g
+        self.tree = t
+        self._parent = parent
+        self._depth = depth
+
+    def path(self, a: Vertex, b: Vertex) -> List[Vertex]:
+        """The unique tree path from a to b, as a vertex list; [a] when a == b."""
+        depth, parent = self._depth, self._parent
+        if a not in depth or b not in depth:
+            raise ValueError(f"{a!r} or {b!r} not in the tree")
+        up, down = [a], [b]
+        while depth[a] > depth[b]:
+            a = parent[a]
+            up.append(a)
+        while depth[b] > depth[a]:
+            b = parent[b]
+            down.append(b)
+        while a != b:
+            a = parent[a]
+            b = parent[b]
+            up.append(a)
+            down.append(b)
+        down.pop()  # the common ancestor, already last in up
+        up.extend(reversed(down))
+        return up
+
+    def cycle(self, e) -> Cycle:
+        """The unique cycle closed by the non-tree edge e of g."""
+        u, v = edge(*e)
+        if (u, v) not in self.graph.edges:
+            raise ValueError(f"{(u, v)!r} is not an edge of g")
+        if (u, v) in self.tree.edges:
+            raise ValueError(f"{(u, v)!r} is a tree edge")
+        path = self.path(u, v)
+        return Cycle(frozenset(path), path_edges(path) | {(u, v)})
+
+
+def tree_path(t: Graph, a: Vertex, b: Vertex) -> List[Vertex]:
+    """The unique path from a to b in the tree t, as a vertex list.
+
+    tree_path(t, a, a) is [a].
+    """
+    try:
+        host = HostTree(t, t)
+    except ValueError:
+        raise ValueError("tree_path needs a tree") from None
+    return host.path(a, b)
+
+
 def fundamental_cycle(g: Graph, t: Graph, e) -> Cycle:
     """The unique cycle closed by non-tree edge e over the spanning tree t."""
-    u, v = edge(*e)
-    if not is_spanning_tree(g, t):
-        raise ValueError("t is not a spanning tree of g")
-    if (u, v) not in g.edges:
-        raise ValueError(f"{(u, v)!r} is not an edge of g")
-    if (u, v) in t.edges:
-        raise ValueError(f"{(u, v)!r} is a tree edge")
-    path = tree_path(t, u, v)
-    return Cycle(frozenset(path), path_edges(path) | {(u, v)})
+    e = edge(*e)  # a loop is refused before the tree is checked
+    return HostTree(g, t).cycle(e)
 
 
 def enumerate_induced_subtrees(t: Graph, anchor: Vertex) -> Iterator[FrozenSet[Vertex]]:

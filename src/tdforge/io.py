@@ -48,11 +48,27 @@ def graph_to_obj(g: Graph) -> dict:
     return obj
 
 
+def _graph(vertices, edges, labels=None) -> Graph:
+    """A Graph from JSON fields, once their shapes are checked: a list of
+    string ids, a list of 2-element lists of string ids, an optional object."""
+    if not isinstance(vertices, list):
+        raise ValueError(f"vertices must be a list, got {type(vertices).__name__}")
+    _check_ids(vertices)
+    if not isinstance(edges, list):
+        raise ValueError(f"edges must be a list, got {type(edges).__name__}")
+    for e in edges:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ValueError(f"edges must be 2-element lists, got {e!r}")
+        _check_ids(e)
+    if labels is not None and not isinstance(labels, dict):
+        raise ValueError(f"labels must be an object, got {type(labels).__name__}")
+    return Graph(vertices, [tuple(e) for e in edges], labels)
+
+
 def graph_from_obj(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ValueError("graph object needs a 'vertices' field")
-    return Graph(obj["vertices"], [tuple(e) for e in obj.get("edges", [])],
-                 obj.get("labels"))
+    return _graph(obj["vertices"], obj.get("edges", []), obj.get("labels"))
 
 
 # ------------------------------------------------------- decompositions
@@ -68,10 +84,16 @@ def td_to_obj(td: TreeDecomposition) -> dict:
 
 def td_from_obj(obj: dict) -> TreeDecomposition:
     for field in ("host_vertices", "host_edges", "bags"):
-        if field not in obj:
+        if not isinstance(obj, dict) or field not in obj:
             raise ValueError(f"decomposition object needs a {field!r} field")
-    host = Graph(obj["host_vertices"], [tuple(e) for e in obj["host_edges"]])
-    return TreeDecomposition(host, {x: set(b) for x, b in obj["bags"].items()})
+    host = _graph(obj["host_vertices"], obj["host_edges"])
+    bags = obj["bags"]
+    if not isinstance(bags, dict) or not all(isinstance(b, list)
+                                             for b in bags.values()):
+        raise ValueError("bags must be an object of lists")
+    for b in bags.values():
+        _check_ids(b)
+    return TreeDecomposition(host, {x: set(b) for x, b in bags.items()})
 
 
 # ------------------------------------------------------------ schedules

@@ -18,7 +18,8 @@ from .constructions import GadgetInstance
 from .decomposition import (TreeDecomposition, ValidationReport, Violation,
                             validate)
 from .errors import HostNotSpanning, ReductionInvalid
-from .graphs import Graph, Vertex, Edge, edge, is_connected, is_spanning_tree, is_tree
+from .graphs import (Graph, Vertex, Edge, connected_in, edge, is_connected,
+                     is_spanning_tree, is_tree)
 
 PATTERN_NOT_TREE = "pattern-not-tree"
 BRANCH_MISSING = "branch-set-missing"
@@ -84,7 +85,7 @@ def validate_model(m: MinorModel) -> ValidationReport:
             if v in seen:
                 violations.append(Violation(BRANCH_OVERLAP, (seen[v], x, v)))
             seen[v] = x
-        if not is_connected(m.graph.subgraph(q)):
+        if not connected_in(m.graph, q):
             violations.append(Violation(BRANCH_DISCONNECTED, x))
     for xy in sorted(m.pattern.edges):
         x, y = xy

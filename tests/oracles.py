@@ -121,6 +121,24 @@ def naive_decide(g: Graph, host: Graph, budget: int, anchored: bool) -> bool:
     return rec(0, start)
 
 
+def bfs_path(g: Graph, a: str, b: str) -> List[str]:
+    """A shortest path from a to b in g by breadth-first search, as a vertex
+    list; in a tree, the unique path."""
+    parent = {a: None}
+    queue = [a]
+    for v in queue:
+        if v == b:
+            break
+        for w in g.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
 def brute_count_spanning_trees(g: Graph) -> int:
     """Count spanning trees by testing every (n-1)-edge subset."""
     n = len(g)

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +69,7 @@ class TestConstruct:
         assert manifest["command"][:2] == ["tdforge", "construct"]
         assert manifest["outputs"] == ["g3.json", "g3.meta.json"]
         assert manifest["settings"]["tw_cap"] == 14
+        assert (manifest["exit_code"], manifest["error"]) == (0, None)
 
     def test_output_bytes_are_reproducible(self, tmp_path):
         main(["construct", "reflected-tree", "--r", "4", "--out", "a.json"])
@@ -408,6 +412,53 @@ class TestExport:
         io.dump_json({"foo": 1}, "junk.json")
         assert main(["export", "--input", "junk.json"]) == 2
         assert main(["export", "--input", "absent.json"]) == 2
+
+
+class TestMalformedInput:
+    def run_cli(self, *argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "tdforge.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    def test_bad_shapes_exit_2_without_traceback(self):
+        io.dump_json({"vertices": [1, "a"], "edges": [[1, "a"]]}, "ids.json")
+        write_graph(cycle_graph(4), "g.json")
+        io.dump_json({"host_vertices": ["c00"], "host_edges": [],
+                      "bags": [1]}, "td.json")
+        for argv in (["search", "tw", "--graph", "ids.json"],
+                     ["verify", "--graph", "g.json", "--td", "td.json"]):
+            proc = self.run_cli(*argv)
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1
+
+    def test_failed_run_still_writes_manifest(self, capsys):
+        assert main(["search", "tw", "--graph", "missing.json",
+                     "--out", "o.json"]) == 2
+        manifest = io.load_json("o.json.manifest.json")
+        assert manifest["exit_code"] == 2
+        assert manifest["error"] == "FileNotFoundError"
+        assert manifest["outputs"] == []
+
+
+class TestPinnedOutputs:
+    """Output bytes frozen as sha256 digests; they do not depend on the
+    interpreter's hash seed."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["certify", "--r", "5", "--sample", "20", "--seed", "11"],
+         "66812a6954fcd025a37c94b31cecaf5fa9d0797752cc4b1e6d2f47d69475f9b0"),
+        (["pipeline", "--k", "1"],
+         "1403553fc90a3cd3a0be4c9dbc48182aae5d10bab906d56de5f8b8970bcea4c6"),
+    ])
+    def test_digest(self, tmp_path, capsys, argv, digest):
+        assert main(argv + ["--out", "out.json"]) == 0
+        got = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+        assert got == digest
 
 
 class TestSettingsPrecedence:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tdforge.graphs import (
     Cycle,
     Graph,
+    HostTree,
     Matching,
     RootedTree,
     complete_graph,
@@ -24,7 +25,8 @@ from tdforge.graphs import (
     tree_diameter,
     tree_path,
 )
-from generators import random_tree
+from generators import random_spanning_tree, random_tree
+from oracles import bfs_path
 
 
 def small_trees():
@@ -153,6 +155,58 @@ class TestFundamentalCycle:
             fundamental_cycle(c, t, ("c00", "c02"))  # not a graph edge
         with pytest.raises(ValueError):
             fundamental_cycle(c, c, ("c00", "c03"))  # host not a tree
+
+
+class TestHostTree:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=7),
+           st.integers(min_value=0, max_value=2 ** 31),
+           st.sampled_from(["spanning tree", "n-1 edges", "any edges"]))
+    def test_agrees_with_predicate_and_bfs(self, n, seed, subset):
+        """HostTree(g, t) is refused exactly when t is not a spanning tree
+        of g; otherwise its paths and cycles are the plain BFS ones."""
+        rng = random.Random(seed)
+        vs = [f"v{i}" for i in range(n)]
+        g = Graph(vs, [e for e in itertools.combinations(vs, 2)
+                       if rng.random() < 0.5])
+        edges = sorted(g.edges)
+        if subset == "spanning tree" and is_connected(g):
+            t = random_spanning_tree(rng, g)
+        elif subset == "n-1 edges":
+            t = Graph(vs, rng.sample(edges, min(n - 1, len(edges))))
+        else:
+            t = Graph(vs, [e for e in edges if rng.random() < 0.5])
+        if not is_spanning_tree(g, t):
+            with pytest.raises(ValueError):
+                HostTree(g, t)
+            return
+        host = HostTree(g, t)
+        for a in vs:
+            for b in vs:
+                assert host.path(a, b) == bfs_path(t, a, b)
+        for e in edges:
+            if e in t.edges:
+                continue
+            p = bfs_path(t, *e)
+            cyc = host.cycle(e)
+            assert cyc.vertices == set(p)
+            assert cyc.edges == {edge(x, y) for x, y in zip(p, p[1:])} | {e}
+
+    def test_rejections(self):
+        c = cycle_graph(4)
+        t = Graph(c.vertices, [("c00", "c01"), ("c01", "c02"), ("c02", "c03")])
+        host = HostTree(c, t)
+        with pytest.raises(ValueError, match="not in the tree"):
+            host.path("c00", "nope")
+        with pytest.raises(ValueError, match="is a tree edge"):
+            host.cycle(("c01", "c00"))
+        with pytest.raises(ValueError, match="not an edge of g"):
+            host.cycle(("c00", "c02"))
+        # n-1 edges, all of g, but a cycle plus an isolated vertex
+        square_plus = Graph(["a", "b", "c", "d", "e"],
+                            [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            HostTree(square_plus, square_plus)
 
 
 class TestInducedSubtrees:
