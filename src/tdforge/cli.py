@@ -431,6 +431,8 @@ def cmd_pipeline(run: Run, args) -> int:
 
 def cmd_export(run: Run, args) -> int:
     obj = run.read_json(args.input)
+    if not isinstance(obj, dict):
+        raise ValueError("input is not a graph, decomposition, or instance")
     if "host_vertices" in obj:
         text = io.td_to_dot(io.td_from_obj(obj))
     elif "base" in obj:

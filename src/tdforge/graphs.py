@@ -236,56 +236,82 @@ class Cycle:
 class HostTree:
     """A spanning tree t of a graph g, checked once and indexed for paths.
 
-    Construction checks that t is a spanning tree of g and roots it at its
-    first vertex, recording each vertex's parent and depth in one traversal.
-    Path and cycle queries then climb from both ends to the common ancestor,
-    in time linear in the answer's length, without re-checking the tree.
+    Construction checks that t is a spanning tree of g, numbers its vertices
+    in sorted order (vertices, index) and roots it at index 0, recording
+    each index's parent and depth in one traversal. Path, path-mask and
+    cycle queries then climb from both ends to the common ancestor, in time
+    linear in the answer's length, without re-checking the tree.
     """
 
-    __slots__ = ("graph", "tree", "_parent", "_depth")
+    __slots__ = ("graph", "tree", "vertices", "index", "_parent", "_depth",
+                 "_masks")
 
     def __init__(self, g: Graph, t: Graph):
         if (t.vertex_set != g.vertex_set or not t.edges <= g.edges
                 or len(t.edges) != len(t) - 1):
             raise ValueError("t is not a spanning tree of g")
-        root = t.vertices[0]
-        parent = {root: root}
-        depth = {root: 0}
-        order = [root]
+        vertices = sorted(t.vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        parent = [-1] * len(vertices)
+        depth = [0] * len(vertices)
+        parent[0] = 0
+        order = [0]
         for x in order:
-            for y in t.neighbors(x):
-                if y not in parent:
+            for w in t.neighbors(vertices[x]):
+                y = index[w]
+                if parent[y] < 0:
                     parent[y] = x
                     depth[y] = depth[x] + 1
                     order.append(y)
         # n-1 edges and connected: a tree
-        if len(order) != len(t):
+        if len(order) != len(vertices):
             raise ValueError("t is not a spanning tree of g")
         self.graph = g
         self.tree = t
+        self.vertices = vertices
+        self.index = index
         self._parent = parent
         self._depth = depth
+        self._masks: Dict[Tuple[int, int], int] = {}
 
-    def path(self, a: Vertex, b: Vertex) -> List[Vertex]:
-        """The unique tree path from a to b, as a vertex list; [a] when a == b."""
+    def _climb(self, i: int, j: int) -> List[int]:
+        """Indices of the tree path from index i to index j, in order."""
         depth, parent = self._depth, self._parent
-        if a not in depth or b not in depth:
-            raise ValueError(f"{a!r} or {b!r} not in the tree")
-        up, down = [a], [b]
-        while depth[a] > depth[b]:
-            a = parent[a]
-            up.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b]
-            down.append(b)
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-            up.append(a)
-            down.append(b)
+        up, down = [i], [j]
+        while depth[i] > depth[j]:
+            i = parent[i]
+            up.append(i)
+        while depth[j] > depth[i]:
+            j = parent[j]
+            down.append(j)
+        while i != j:
+            i = parent[i]
+            j = parent[j]
+            up.append(i)
+            down.append(j)
         down.pop()  # the common ancestor, already last in up
         up.extend(reversed(down))
         return up
+
+    def path(self, a: Vertex, b: Vertex) -> List[Vertex]:
+        """The unique tree path from a to b, as a vertex list; [a] when a == b."""
+        index = self.index
+        if a not in index or b not in index:
+            raise ValueError(f"{a!r} or {b!r} not in the tree")
+        vertices = self.vertices
+        return [vertices[x] for x in self._climb(index[a], index[b])]
+
+    def path_mask(self, i: int, j: int) -> int:
+        """The tree path between indices i and j as a bitmask over indices
+        (bit x set iff vertices[x] is on it); cached per unordered pair."""
+        key = (i, j) if i < j else (j, i)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = 0
+            for x in self._climb(i, j):
+                mask |= 1 << x
+            self._masks[key] = mask
+        return mask
 
     def cycle(self, e) -> Cycle:
         """The unique cycle closed by the non-tree edge e of g."""
@@ -314,30 +340,6 @@ def fundamental_cycle(g: Graph, t: Graph, e) -> Cycle:
     """The unique cycle closed by non-tree edge e over the spanning tree t."""
     e = edge(*e)  # a loop is refused before the tree is checked
     return HostTree(g, t).cycle(e)
-
-
-def enumerate_induced_subtrees(t: Graph, anchor: Vertex) -> Iterator[FrozenSet[Vertex]]:
-    """Yield every vertex set containing anchor that induces a subtree of t.
-
-    Each set is emitted exactly once, in a deterministic order. On an m-vertex
-    path anchored at an end this emits exactly m sets.
-    """
-    if not is_tree(t):
-        raise ValueError("enumerate_induced_subtrees needs a tree")
-    if anchor not in t:
-        raise ValueError(f"{anchor!r} not in the tree")
-
-    def rec(current: FrozenSet[Vertex], banned: FrozenSet[Vertex]):
-        frontier = sorted({w for v in current for w in t.neighbors(v)}
-                          - current - banned)
-        if not frontier:
-            yield current
-            return
-        c = frontier[0]
-        yield from rec(current | {c}, banned)
-        yield from rec(current, banned | {c})
-
-    yield from rec(frozenset([anchor]), frozenset())
 
 
 def tree_diameter(t: Graph) -> int:

@@ -6,8 +6,7 @@ order is preserved where it is meaningful, everything else is sorted.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .constructions import GadgetInstance, GadgetSchedule
 from .decomposition import TreeDecomposition
@@ -18,6 +17,51 @@ def _check_ids(ids: Iterable) -> None:
     for v in ids:
         if not isinstance(v, str):
             raise ValueError(f"serialized vertex ids must be strings, got {v!r}")
+
+
+_KINDS = {dict: "an object", list: "a list", int: "an integer",
+          str: "a string", bool: "a boolean"}
+
+
+def _field(obj, what: str, name: str, kind: type, default=None):
+    """obj[name], once obj is an object and the value has JSON type kind;
+    default when the field is absent and a default is given."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    if name not in obj:
+        if default is None:
+            raise ValueError(f"{what} object needs a {name!r} field")
+        return default
+    value = obj[name]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} field {name!r} must be {_KINDS[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _pairs(pairs: list, what: str) -> List[Tuple[str, str]]:
+    """A list of 2-element lists of string ids, as tuples."""
+    for e in pairs:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ValueError(f"{what} must be 2-element lists, got {e!r}")
+        _check_ids(e)
+    return [tuple(e) for e in pairs]
+
+
+def _id_sets(obj, what: str) -> Dict[str, FrozenSet[str]]:
+    """An object mapping ids to lists of string ids, as frozensets."""
+    if not isinstance(obj, dict) or not all(isinstance(b, list)
+                                            for b in obj.values()):
+        raise ValueError(f"{what} must be an object of lists")
+    for b in obj.values():
+        _check_ids(b)
+    return {x: frozenset(b) for x, b in obj.items()}
+
+
+def _ints(values: list, what: str) -> Tuple[int, ...]:
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(values)
 
 
 def _sorted_pairs(pairs) -> List[List[str]]:
@@ -56,13 +100,9 @@ def _graph(vertices, edges, labels=None) -> Graph:
     _check_ids(vertices)
     if not isinstance(edges, list):
         raise ValueError(f"edges must be a list, got {type(edges).__name__}")
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise ValueError(f"edges must be 2-element lists, got {e!r}")
-        _check_ids(e)
     if labels is not None and not isinstance(labels, dict):
         raise ValueError(f"labels must be an object, got {type(labels).__name__}")
-    return Graph(vertices, [tuple(e) for e in edges], labels)
+    return Graph(vertices, _pairs(edges, "edges"), labels)
 
 
 def graph_from_obj(obj: dict) -> Graph:
@@ -87,13 +127,7 @@ def td_from_obj(obj: dict) -> TreeDecomposition:
         if not isinstance(obj, dict) or field not in obj:
             raise ValueError(f"decomposition object needs a {field!r} field")
     host = _graph(obj["host_vertices"], obj["host_edges"])
-    bags = obj["bags"]
-    if not isinstance(bags, dict) or not all(isinstance(b, list)
-                                             for b in bags.values()):
-        raise ValueError("bags must be an object of lists")
-    for b in bags.values():
-        _check_ids(b)
-    return TreeDecomposition(host, {x: set(b) for x, b in bags.items()})
+    return TreeDecomposition(host, _id_sets(obj["bags"], "bags"))
 
 
 # ------------------------------------------------------------ schedules
@@ -105,9 +139,11 @@ def schedule_to_obj(s: GadgetSchedule) -> dict:
 
 
 def schedule_from_obj(obj: dict) -> GadgetSchedule:
-    return GadgetSchedule(obj["k"], obj["n"], tuple(obj["heights"]),
-                          tuple(obj["widths"]), tuple(obj["tree_sizes"]),
-                          bool(obj["genuine"]))
+    lists = [_ints(_field(obj, "schedule", name, list), name)
+             for name in ("heights", "widths", "tree_sizes")]
+    return GadgetSchedule(_field(obj, "schedule", "k", int),
+                          _field(obj, "schedule", "n", int), *lists,
+                          _field(obj, "schedule", "genuine", bool))
 
 
 def instance_to_obj(inst: GadgetInstance) -> dict:
@@ -122,13 +158,18 @@ def instance_to_obj(inst: GadgetInstance) -> dict:
 
 
 def instance_from_obj(obj: dict) -> GadgetInstance:
-    base = graph_from_obj(obj["base"])
-    graph = graph_from_obj(obj["graph"])
-    gadgets = {a: frozenset(vs) for a, vs in obj["gadgets"].items()}
-    inst = GadgetInstance(base, tuple(obj["ordering"]),
-                          schedule_from_obj(obj["schedule"]), graph, gadgets)
+    base = graph_from_obj(_field(obj, "instance", "base", dict))
+    graph = graph_from_obj(_field(obj, "instance", "graph", dict))
+    gadgets = _id_sets(_field(obj, "instance", "gadgets", dict), "gadgets")
+    ordering = _field(obj, "instance", "ordering", list)
+    _check_ids(ordering)
+    inst = GadgetInstance(base, tuple(ordering),
+                          schedule_from_obj(_field(obj, "instance", "schedule",
+                                                   dict)), graph, gadgets)
     if set(inst.ordering) != base.vertex_set:
         raise ValueError("instance ordering does not match its base graph")
+    if set(gadgets) != base.vertex_set:
+        raise ValueError("instance gadgets do not match its base graph")
     covered = set(base.vertices)
     for a, vs in gadgets.items():
         covered |= vs
@@ -154,11 +195,15 @@ def model_to_obj(m) -> dict:
 
 def model_from_obj(obj: dict, graph: Graph):
     from .transforms import MinorModel
-    branch_sets = {x: frozenset(vs) for x, vs in obj["branch_sets"].items()}
+    branch_sets = _id_sets(_field(obj, "model", "branch_sets", dict),
+                           "branch_sets")
     pattern = Graph(sorted(branch_sets),
-                    [tuple(e) for e in obj.get("pattern_edges", [])])
+                    _pairs(_field(obj, "model", "pattern_edges", list, []),
+                           "pattern_edges"))
+    edge_map = _field(obj, "model", "edge_map", dict, {})
+    targets = _pairs(list(edge_map.values()), "edge_map values")
     edge_map = {edge(*_unpair_key(key)): edge(*pair)
-                for key, pair in obj.get("edge_map", {}).items()}
+                for key, pair in zip(edge_map, targets)}
     return MinorModel(graph, pattern, branch_sets, edge_map)
 
 
@@ -178,28 +223,18 @@ def certificate_to_obj(cert) -> dict:
 
 def certificate_from_obj(obj: dict):
     from .certificates import WidthCertificate
+    what = "certificate"
+    witness = _pairs([_field(obj, what, "witness_edge", list)], "witness_edge")
     return WidthCertificate(
-        level=obj["level"],
-        host=graph_from_obj(obj["host"]),
-        matching=Matching(frozenset(tuple(e) for e in obj["matching"])),
-        hub=obj["hub"],
-        witness_edge=edge(*obj["witness_edge"]),
-        cycles={edge(*_unpair_key(k)): frozenset(vs)
-                for k, vs in obj["cycles"].items()},
+        level=_field(obj, what, "level", int),
+        host=graph_from_obj(_field(obj, what, "host", dict)),
+        matching=Matching(frozenset(_pairs(_field(obj, what, "matching", list),
+                                           "matching"))),
+        hub=_field(obj, what, "hub", str),
+        witness_edge=edge(*witness[0]),
+        cycles={edge(*_unpair_key(k)): vs for k, vs in
+                _id_sets(_field(obj, what, "cycles", dict), "cycles").items()},
     )
-
-
-# ---------------------------------------------------------------- files
-
-def dump_json(obj: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 # ----------------------------------------------------------------- DOT

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .decomposition import TreeDecomposition, from_subtrees, is_anchored, validate
 from .errors import CapExceeded
-from .graphs import (Graph, Vertex, edge, is_connected, is_spanning_tree,
+from .graphs import (Graph, HostTree, Vertex, component_in, is_connected,
                      path_graph, tree_diameter)
 
 SAT = "SAT"
@@ -203,55 +203,16 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if not is_spanning_tree(g, host):
-        raise ValueError("host is not a spanning tree of g")
+    try:
+        tree = HostTree(g, host)
+    except ValueError:
+        raise ValueError("host is not a spanning tree of g") from None
     t0 = time.perf_counter()
-    verts = sorted(g.vertices)
+    verts = tree.vertices
     n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
+    index = tree.index
+    path_mask = tree.path_mask
     cap = budget + 1
-
-    par = [-1] * n
-    depth = [0] * n
-    hadj: List[List[int]] = [[] for _ in range(n)]
-    for a, b in host.edges:
-        ia, ib = index[a], index[b]
-        hadj[ia].append(ib)
-        hadj[ib].append(ia)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in hadj[x]:
-            if not seen[y]:
-                seen[y] = True
-                par[y] = x
-                depth[y] = depth[x] + 1
-                stack.append(y)
-
-    path_cache: Dict[Tuple[int, int], int] = {}
-
-    def path_mask(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        got = path_cache.get(key)
-        if got is not None:
-            return got
-        x, y = a, b
-        mask = 0
-        while depth[x] > depth[y]:
-            mask |= 1 << x
-            x = par[x]
-        while depth[y] > depth[x]:
-            mask |= 1 << y
-            y = par[y]
-        while x != y:
-            mask |= (1 << x) | (1 << y)
-            x = par[x]
-            y = par[y]
-        mask |= 1 << x
-        path_cache[key] = mask
-        return mask
 
     deg = {v: g.degree(v) for v in verts}
     edge_order = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
@@ -456,17 +417,9 @@ def _is_forest(g: Graph) -> bool:
     seen = set()
     components = 0
     for start in g.vertices:
-        if start in seen:
-            continue
-        components += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+        if start not in seen:
+            components += 1
+            seen |= component_in(g, g.vertex_set, start)
     return len(g.edges) == len(g) - components
 
 

@@ -7,10 +7,31 @@ under test beyond the basic graph type and the validator.
 """
 
 import itertools
-from typing import Dict, List
+from typing import Dict, FrozenSet, Iterator, List
 
 from tdforge.decomposition import from_subtrees, is_anchored, validate
-from tdforge.graphs import Graph, enumerate_induced_subtrees, is_spanning_tree
+from tdforge.graphs import Graph, is_spanning_tree
+
+
+def enumerate_induced_subtrees(t: Graph, anchor: str) -> Iterator[FrozenSet[str]]:
+    """Yield every vertex set containing anchor that induces a subtree of
+    the tree t, each exactly once, in a deterministic order: branch on the
+    smallest frontier vertex, taking it or banning it. On an m-vertex path
+    anchored at an end this emits exactly m sets."""
+    if anchor not in t:
+        raise ValueError(f"{anchor!r} not in the tree")
+
+    def rec(current: FrozenSet[str], banned: FrozenSet[str]):
+        frontier = sorted({w for v in current for w in t.neighbors(v)}
+                          - current - banned)
+        if not frontier:
+            yield current
+            return
+        c = frontier[0]
+        yield from rec(current | {c}, banned)
+        yield from rec(current, banned | {c})
+
+    yield from rec(frozenset([anchor]), frozenset())
 
 
 def naive_decide(g: Graph, host: Graph, budget: int, anchored: bool) -> bool:

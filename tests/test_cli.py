@@ -11,6 +11,7 @@ import pytest
 from tdforge import io
 from tdforge.cli import main
 from tdforge.graphs import Graph, cycle_graph, path_graph
+from jsonfiles import dump_json, load_json
 
 pytestmark = pytest.mark.usefixtures("in_tmp")
 
@@ -22,7 +23,7 @@ def in_tmp(tmp_path, monkeypatch):
 
 
 def write_graph(g: Graph, path: str) -> str:
-    io.dump_json(io.graph_to_obj(g), path)
+    dump_json(io.graph_to_obj(g), path)
     return path
 
 
@@ -35,7 +36,7 @@ def write_square_td(path: str) -> str:
         "bags": {"c00": ["c00", "c01", "c03"], "c01": ["c01", "c02", "c03"],
                  "c02": ["c02", "c03"], "c03": ["c03"]},
     }))
-    io.dump_json(obj, path)
+    dump_json(obj, path)
     return path
 
 
@@ -60,12 +61,12 @@ class TestConstruct:
     def test_reflected_tree_with_sidecar_and_manifest(self, tmp_path):
         assert main(["construct", "reflected-tree", "--r", "3",
                      "--out", "g3.json"]) == 0
-        g = io.graph_from_obj(io.load_json("g3.json"))
+        g = io.graph_from_obj(load_json("g3.json"))
         assert (len(g.vertices), len(g.edges)) == (10, 12)
-        meta = io.load_json("g3.meta.json")
+        meta = load_json("g3.meta.json")
         assert meta == {"kind": "reflected-tree", "level": 3,
                         "roots": ["u", "v"], "order": 10, "size": 12}
-        manifest = io.load_json("g3.json.manifest.json")
+        manifest = load_json("g3.json.manifest.json")
         assert manifest["command"][:2] == ["tdforge", "construct"]
         assert manifest["outputs"] == ["g3.json", "g3.meta.json"]
         assert manifest["settings"]["tw_cap"] == 14
@@ -94,9 +95,9 @@ class TestConstruct:
                      "--toy-heights", "1", "--toy-widths", "1",
                      "--out", "gg.json"]) == 0
         assert "toy schedule" in capsys.readouterr().err
-        g = io.graph_from_obj(io.load_json("gg.json"))
+        g = io.graph_from_obj(load_json("gg.json"))
         assert len(g.vertices) == 4
-        meta = io.load_json("gg.meta.json")
+        meta = load_json("gg.meta.json")
         assert meta["kind"] == "gadget-instance"
         assert io.instance_from_obj(meta).gadgets == {
             "p00": frozenset({"p00#0"}), "p01": frozenset({"p01#0"})}
@@ -123,7 +124,7 @@ class TestSchedule:
     def test_two_gadget_json(self):
         assert main(["schedule", "--k", "1", "--n", "2",
                      "--out", "s.json"]) == 0
-        obj = io.load_json("s.json")
+        obj = load_json("s.json")
         assert obj["heights"] == [2, 82]
         assert obj["widths"][1] == 5
         assert obj["widths"][0] == 2 * (2 + (5 ** 83 - 1) // 4) + 1
@@ -136,12 +137,12 @@ class TestSchedule:
 class TestTransform:
     def test_minor_to_spanning(self):
         write_graph(cycle_graph(5), "g.json")
-        io.dump_json({
+        dump_json({
             "host_vertices": ["x", "y"], "host_edges": [["x", "y"]],
             "bags": {"x": ["c00", "c01", "c02", "c04"],
                      "y": ["c02", "c03", "c04"]},
         }, "td.json")
-        io.dump_json({
+        dump_json({
             "pattern_vertices": ["x", "y"], "pattern_edges": [["x", "y"]],
             "branch_sets": {"x": ["c00", "c01", "c02"], "y": ["c03", "c04"]},
             "edge_map": {"x,y": ["c02", "c03"]},
@@ -149,7 +150,7 @@ class TestTransform:
         assert main(["transform", "minor-to-spanning", "--graph", "g.json",
                      "--td", "td.json", "--model", "model.json",
                      "--out", "out.json"]) == 0
-        td = io.td_from_obj(io.load_json("out.json"))
+        td = io.td_from_obj(load_json("out.json"))
         assert td.width() == 3
         assert td.host.edges == {("c00", "c01"), ("c01", "c02"),
                                  ("c02", "c03"), ("c03", "c04")}
@@ -158,9 +159,9 @@ class TestTransform:
         from tdforge.constructions import attach_gadgets, toy_schedule
         base = Graph(["a0", "a1"], [("a0", "a1")])
         inst = attach_gadgets(base, None, toy_schedule(1, 2, [1, 1], widths))
-        io.dump_json(io.instance_to_obj(inst), "inst.json")
+        dump_json(io.instance_to_obj(inst), "inst.json")
         host = inst.graph  # the instance is a tree, so it hosts itself
-        io.dump_json(io.td_to_obj(io.td_from_obj({
+        dump_json(io.td_to_obj(io.td_from_obj({
             "host_vertices": list(host.vertices),
             "host_edges": [list(e) for e in sorted(host.edges)],
             "bags": bags,
@@ -172,7 +173,7 @@ class TestTransform:
             "a1": ["a1", "a1#0"], "a1#0": ["a1#0"]})
         assert main(["transform", "reduce", "--instance", "inst.json",
                      "--td", "td.json", "--out", "out.json"]) == 0
-        out = io.td_from_obj(io.load_json("out.json"))
+        out = io.td_from_obj(load_json("out.json"))
         assert out.bags == {"a0": {"a0", "a1"}, "a1": {"a1"}}
 
     def test_reduce_reports_invalid(self, tmp_path, capsys):
@@ -195,7 +196,7 @@ def write_level2_host(path="host.json"):
 
 
 def write_level2_anchored_td(path="atd.json"):
-    io.dump_json({
+    dump_json({
         "host_vertices": ["L.u", "R.u", "u", "v"],
         "host_edges": [["L.u", "v"], ["R.u", "u"], ["R.u", "v"]],
         "bags": {"u": ["u"], "R.u": ["u", "R.u", "v"], "v": ["u", "v"],
@@ -210,12 +211,12 @@ class TestCertifyAndAudit:
         write_level2_anchored_td()
         assert main(["certify", "--r", "2", "--spanning-tree", "host.json",
                      "--out", "cert.json"]) == 0
-        cert = io.load_json("cert.json")
+        cert = load_json("cert.json")
         assert cert["level"] == 2
         assert cert["matching"] == [["L.u", "u"]]
         assert main(["audit", "--certificate", "cert.json", "--td", "atd.json",
                      "--out", "report.json"]) == 0
-        report = io.load_json("report.json")
+        report = load_json("report.json")
         assert report["certificate_ok"] is True
         assert report["bound_holds"] is True
         assert (report["hub"], report["forced"]) == ("R.u", ["u"])
@@ -226,12 +227,12 @@ class TestCertifyAndAudit:
         write_level2_anchored_td()
         main(["certify", "--r", "2", "--spanning-tree", "host.json",
               "--out", "cert.json"])
-        obj = io.load_json("cert.json")
+        obj = load_json("cert.json")
         obj["hub"] = "v"
-        io.dump_json(obj, "bad.json")
+        dump_json(obj, "bad.json")
         assert main(["audit", "--certificate", "bad.json",
                      "--td", "atd.json", "--out", "report.json"]) == 1
-        report = io.load_json("report.json")
+        report = load_json("report.json")
         assert report["certificate_ok"] is False
         assert report["reasons"]
 
@@ -246,7 +247,7 @@ class TestCertifyAndAudit:
         assert main(argv + ["--out", "b.json"]) == 0
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
-        obj = io.load_json("a.json")
+        obj = load_json("a.json")
         assert (obj["mode"], obj["count"], obj["seed"]) == ("sampled", 5, 9)
         assert len(obj["certificates"]) == 5
 
@@ -257,7 +258,7 @@ class TestCertifyAndAudit:
               "--out", "cert.json"])
         main(["audit", "--certificate", "cert.json", "--td", "atd.json",
               "--out", "report.json"])
-        manifest = io.load_json("report.json.manifest.json")
+        manifest = load_json("report.json.manifest.json")
         for path in ("cert.json", "atd.json"):
             with open(path, "rb") as fh:
                 assert manifest["inputs"][path] == \
@@ -347,7 +348,7 @@ class TestVerify:
 
     def test_invalid_decomposition(self, capsys):
         write_graph(cycle_graph(4), "g.json")
-        io.dump_json({
+        dump_json({
             "host_vertices": ["c00", "c01", "c02", "c03"],
             "host_edges": [["c00", "c01"], ["c01", "c02"], ["c02", "c03"]],
             "bags": {"c00": ["c00", "c01"], "c01": ["c01", "c02"],
@@ -360,7 +361,7 @@ class TestVerify:
 
     def test_anchoring_requirement(self, capsys):
         write_graph(cycle_graph(4), "g.json")
-        io.dump_json({
+        dump_json({
             "host_vertices": ["c00", "c01", "c02", "c03"],
             "host_edges": [["c00", "c01"], ["c01", "c02"], ["c02", "c03"]],
             "bags": {"c00": ["c03"], "c01": ["c00", "c01", "c02", "c03"],
@@ -404,13 +405,15 @@ class TestExport:
         assert "label" in capsys.readouterr().out
         base = Graph(["a0", "a1"], [("a0", "a1")])
         inst = attach_gadgets(base, None, toy_schedule(1, 2, [1, 1], [1, 1]))
-        io.dump_json(io.instance_to_obj(inst), "inst.json")
+        dump_json(io.instance_to_obj(inst), "inst.json")
         assert main(["export", "--input", "inst.json"]) == 0
         assert "a0#0" in capsys.readouterr().out
 
     def test_rejects_unknown_and_missing(self, capsys):
-        io.dump_json({"foo": 1}, "junk.json")
+        dump_json({"foo": 1}, "junk.json")
         assert main(["export", "--input", "junk.json"]) == 2
+        dump_json(5, "number.json")
+        assert main(["export", "--input", "number.json"]) == 2
         assert main(["export", "--input", "absent.json"]) == 2
 
 
@@ -423,23 +426,60 @@ class TestMalformedInput:
                               capture_output=True, text=True, env=env,
                               timeout=60)
 
+    def assert_usage_error(self, *argv):
+        proc = self.run_cli(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+    def assert_usage_error_with_manifest(self, *argv):
+        self.assert_usage_error(*argv, "--out", "o.json")
+        manifest = load_json("o.json.manifest.json")
+        assert (manifest["exit_code"], manifest["error"]) == (2, "ValueError")
+        assert not os.path.exists("o.json")
+
     def test_bad_shapes_exit_2_without_traceback(self):
-        io.dump_json({"vertices": [1, "a"], "edges": [[1, "a"]]}, "ids.json")
+        dump_json({"vertices": [1, "a"], "edges": [[1, "a"]]}, "ids.json")
         write_graph(cycle_graph(4), "g.json")
-        io.dump_json({"host_vertices": ["c00"], "host_edges": [],
-                      "bags": [1]}, "td.json")
+        dump_json({"host_vertices": ["c00"], "host_edges": [],
+                   "bags": [1]}, "td.json")
         for argv in (["search", "tw", "--graph", "ids.json"],
                      ["verify", "--graph", "g.json", "--td", "td.json"]):
-            proc = self.run_cli(*argv)
-            assert proc.returncode == 2, proc.stderr
-            assert "Traceback" not in proc.stderr
-            assert proc.stderr.startswith("error: ")
-            assert proc.stderr.count("\n") == 1
+            self.assert_usage_error(*argv)
+
+    def test_certificate_cycles_not_an_object(self):
+        write_level2_host()
+        write_level2_anchored_td()
+        assert main(["certify", "--r", "2", "--spanning-tree", "host.json",
+                     "--out", "cert.json"]) == 0
+        obj = load_json("cert.json")
+        obj["cycles"] = []
+        dump_json(obj, "bad.json")
+        self.assert_usage_error_with_manifest(
+            "audit", "--certificate", "bad.json", "--td", "atd.json")
+
+    def test_instance_gadgets_not_an_object(self):
+        from tdforge.constructions import attach_gadgets, toy_schedule
+        base = Graph(["a0", "a1"], [("a0", "a1")])
+        obj = io.instance_to_obj(
+            attach_gadgets(base, None, toy_schedule(1, 2, [1, 1], [1, 1])))
+        obj["gadgets"] = []
+        dump_json(obj, "inst.json")
+        self.assert_usage_error_with_manifest("export", "--input", "inst.json")
+
+    def test_model_branch_sets_not_an_object(self):
+        write_graph(cycle_graph(4), "g.json")
+        write_square_td("td.json")
+        dump_json({"branch_sets": []}, "model.json")
+        self.assert_usage_error_with_manifest(
+            "transform", "minor-to-spanning", "--graph", "g.json",
+            "--td", "td.json", "--model", "model.json")
 
     def test_failed_run_still_writes_manifest(self, capsys):
         assert main(["search", "tw", "--graph", "missing.json",
                      "--out", "o.json"]) == 2
-        manifest = io.load_json("o.json.manifest.json")
+        manifest = load_json("o.json.manifest.json")
         assert manifest["exit_code"] == 2
         assert manifest["error"] == "FileNotFoundError"
         assert manifest["outputs"] == []
@@ -456,9 +496,25 @@ class TestPinnedOutputs:
          "1403553fc90a3cd3a0be4c9dbc48182aae5d10bab906d56de5f8b8970bcea4c6"),
     ])
     def test_digest(self, tmp_path, capsys, argv, digest):
+        assert self.digest(tmp_path, argv) == digest
+
+    @staticmethod
+    def digest(tmp_path, argv):
         assert main(argv + ["--out", "out.json"]) == 0
-        got = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
-        assert got == digest
+        return hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+
+    def test_anchored_decide_digest(self, tmp_path, capsys):
+        """Status, node count and witness of the anchored decider at
+        budget 3 on the first enumerated spanning tree of level 3."""
+        from tdforge.constructions import reflected_tree
+        from tdforge.search import enumerate_spanning_trees
+        g = reflected_tree(3).graph
+        write_graph(g, "g.json")
+        write_graph(next(enumerate_spanning_trees(g)), "host.json")
+        assert self.digest(tmp_path, [
+            "search", "decide", "--graph", "g.json", "--host", "host.json",
+            "--budget", "3", "--anchored"]) == \
+            "762905ae6373312aa3c7691582f6ff188f1c297893423db8c0391e71e04d77a5"
 
 
 class TestSettingsPrecedence:

@@ -15,7 +15,6 @@ from tdforge.graphs import (
     complete_graph,
     cycle_graph,
     edge,
-    enumerate_induced_subtrees,
     fundamental_cycle,
     is_connected,
     is_spanning_tree,
@@ -26,7 +25,7 @@ from tdforge.graphs import (
     tree_path,
 )
 from generators import random_spanning_tree, random_tree
-from oracles import bfs_path
+from oracles import bfs_path, enumerate_induced_subtrees
 
 
 def small_trees():
@@ -164,7 +163,8 @@ class TestHostTree:
            st.sampled_from(["spanning tree", "n-1 edges", "any edges"]))
     def test_agrees_with_predicate_and_bfs(self, n, seed, subset):
         """HostTree(g, t) is refused exactly when t is not a spanning tree
-        of g; otherwise its paths and cycles are the plain BFS ones."""
+        of g; otherwise its paths, path masks and cycles are the plain BFS
+        ones."""
         rng = random.Random(seed)
         vs = [f"v{i}" for i in range(n)]
         g = Graph(vs, [e for e in itertools.combinations(vs, 2)
@@ -181,9 +181,13 @@ class TestHostTree:
                 HostTree(g, t)
             return
         host = HostTree(g, t)
+        assert host.vertices == sorted(vs)
         for a in vs:
             for b in vs:
-                assert host.path(a, b) == bfs_path(t, a, b)
+                p = bfs_path(t, a, b)
+                assert host.path(a, b) == p
+                bits = host.path_mask(host.index[a], host.index[b])
+                assert bits == sum(1 << host.index[x] for x in p)
         for e in edges:
             if e in t.edges:
                 continue

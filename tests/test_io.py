@@ -1,4 +1,4 @@
-"""JSON round-trips, file helpers, DOT rendering."""
+"""JSON round-trips, loader shape checks, DOT rendering."""
 
 import json
 import random
@@ -9,7 +9,7 @@ from tdforge import io
 from tdforge.certificates import reflected_matching
 from tdforge.constructions import attach_gadgets, reflected_tree, toy_schedule
 from tdforge.decomposition import TreeDecomposition
-from tdforge.graphs import Graph, complete_graph, cycle_graph, path_graph
+from tdforge.graphs import Graph, complete_graph, path_graph
 from tdforge.search import enumerate_spanning_trees
 from generators import random_model_and_td
 
@@ -77,6 +77,10 @@ class TestScheduleAndInstance:
         bad["gadgets"] = {"a0": []}
         with pytest.raises(ValueError):
             io.instance_from_obj(bad)
+        bad = json.loads(json.dumps(obj))
+        bad["gadgets"]["zz"] = []
+        with pytest.raises(ValueError, match="gadgets do not match"):
+            io.instance_from_obj(bad)
 
 
 class TestModelRoundTrip:
@@ -114,14 +118,72 @@ class TestCertificateRoundTrip:
         assert back.cycles == cert.cycles
 
 
-class TestFiles:
-    def test_dump_and_load(self, tmp_path):
-        path = str(tmp_path / "g.json")
-        obj = io.graph_to_obj(cycle_graph(4))
-        io.dump_json(obj, path)
-        assert io.load_json(path) == obj
-        text = (tmp_path / "g.json").read_text()
-        assert text.endswith("\n")
+class TestLoaderShapes:
+    """Malformed JSON is refused with ValueError, never another error."""
+
+    @staticmethod
+    def good():
+        rt = reflected_tree(3)
+        cert = io.certificate_to_obj(
+            reflected_matching(rt, next(enumerate_spanning_trees(rt.graph))))
+        base = Graph(["a0", "a1"], [("a0", "a1")])
+        inst = io.instance_to_obj(
+            attach_gadgets(base, None, toy_schedule(1, 2, [1, 1], [1, 1])))
+        model = {"branch_sets": {"x": ["a0"], "y": ["a1"]},
+                 "pattern_edges": [["x", "y"]],
+                 "edge_map": {"x,y": ["a0", "a1"]}}
+        return {"certificate": cert, "instance": inst, "model": model,
+                "schedule": inst["schedule"]}
+
+    @staticmethod
+    def load(kind, obj):
+        if kind == "model":
+            return io.model_from_obj(obj, Graph(["a0", "a1"], [("a0", "a1")]))
+        return getattr(io, f"{kind}_from_obj")(obj)
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("certificate", "level", "3"),
+        ("certificate", "level", True),
+        ("certificate", "host", []),
+        ("certificate", "matching", {}),
+        ("certificate", "matching", [["a"]]),
+        ("certificate", "hub", 1),
+        ("certificate", "witness_edge", "ab"),
+        ("certificate", "witness_edge", [1, 2]),
+        ("certificate", "cycles", []),
+        ("certificate", "cycles", {"a,b": "ab"}),
+        ("instance", "base", []),
+        ("instance", "ordering", "a0"),
+        ("instance", "ordering", [0, 1]),
+        ("instance", "gadgets", []),
+        ("instance", "gadgets", {"a0": []}),
+        ("instance", "schedule", None),
+        ("schedule", "k", 1.5),
+        ("schedule", "heights", ["1", "1"]),
+        ("schedule", "widths", 1),
+        ("schedule", "genuine", "yes"),
+        ("model", "branch_sets", []),
+        ("model", "branch_sets", {"x": "a0"}),
+        ("model", "pattern_edges", [["x"]]),
+        ("model", "edge_map", []),
+        ("model", "edge_map", {"x,y": "a0"}),
+    ])
+    def test_bad_field(self, kind, field, value):
+        obj = self.good()[kind]
+        self.load(kind, obj)
+        obj[field] = value
+        with pytest.raises(ValueError):
+            self.load(kind, obj)
+
+    @pytest.mark.parametrize("kind", ["certificate", "instance", "model",
+                                      "schedule"])
+    def test_not_an_object_or_missing_field(self, kind):
+        with pytest.raises(ValueError):
+            self.load(kind, [])
+        obj = self.good()[kind]
+        del obj[next(iter(obj))]
+        with pytest.raises(ValueError):
+            self.load(kind, obj)
 
 
 class TestDot:
