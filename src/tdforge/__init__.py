@@ -15,10 +15,9 @@ from .decomposition import (Classification, TreeDecomposition, ValidationReport,
 from .errors import (CapExceeded, CertificateContradiction, HostNotSpanning,
                      HypothesisViolated, ReductionInvalid, ScheduleTooLarge,
                      SizeExceeded, StructureViolation, TdforgeError)
-from .graphs import (Cycle, Graph, Matching, RootedTree, complete_graph,
-                     cycle_graph, edge, fundamental_cycle, is_connected,
-                     is_spanning_tree, is_tree, path_graph, tree_diameter,
-                     tree_path)
+from .graphs import (Cycle, Graph, Matching, complete_graph, cycle_graph, edge,
+                     fundamental_cycle, is_connected, is_spanning_tree, is_tree,
+                     path_graph, tree_diameter, tree_path)
 from .search import (DeciderResult, check_longpath_property,
                      count_spanning_trees, decide_over_trees,
                      enumerate_spanning_trees, exact_treewidth,

@@ -26,7 +26,7 @@ from .constructions import (DEFAULT_CAP, attach_gadgets, gadget_schedule,
 from .decomposition import is_anchored, validate
 from .errors import (CapExceeded, CertificateContradiction, ReductionInvalid,
                      ScheduleTooLarge, SizeExceeded, TdforgeError)
-from .graphs import Graph, is_spanning_tree
+from .graphs import Graph
 from .search import (count_spanning_trees, decide_over_trees,
                      enumerate_spanning_trees, exact_treewidth,
                      min_anchored_spanning_width, min_width_on_tree,

@@ -14,10 +14,10 @@ small toy values for desk-scale experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .errors import ScheduleTooLarge, SizeExceeded
-from .graphs import Graph, RootedTree, Vertex
+from .graphs import Graph, Vertex
 
 DEFAULT_CAP = 500_000
 
@@ -99,18 +99,18 @@ def ary_tree_size(width: int, height: int) -> int:
 
 
 def complete_ary_tree(width: int, height: int, cap: int = DEFAULT_CAP,
-                      root: str = "g") -> RootedTree:
-    """The complete rooted width-ary tree of the given height.
+                      root: str = "g") -> Graph:
+    """The complete width-ary tree of the given height, rooted at root.
 
     Node identifiers are the root id followed by dotted child indices
-    ("g", "g.0", "g.0.1", ...). Refuses when the size exceeds cap.
+    ("g", "g.0", "g.0.1", ...), listed level by level, so the root comes
+    first. Refuses when the size exceeds cap.
     """
     total = ary_tree_size(width, height)
     if total > cap:
         raise SizeExceeded(total, cap, f"complete {width}-ary tree of height {height}")
     vertices = [root]
     edges = []
-    parent: Dict[Vertex, Vertex] = {}
     level = [root]
     for _ in range(height):
         nxt = []
@@ -119,10 +119,9 @@ def complete_ary_tree(width: int, height: int, cap: int = DEFAULT_CAP,
                 c = f"{p}.{i}"
                 vertices.append(c)
                 edges.append((p, c))
-                parent[c] = p
                 nxt.append(c)
         level = nxt
-    return RootedTree(Graph(vertices, edges), root, parent)
+    return Graph(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -250,11 +249,11 @@ def attach_gadgets(g: Graph, ordering: Optional[Sequence[Vertex]],
     for a, h, w in zip(order, schedule.heights, schedule.widths):
         tree = complete_ary_tree(w, h, cap=cap)
 
-        def to_instance(node, a=a, root=tree.root):
+        def to_instance(node, a=a, root=tree.vertices[0]):
             return a if node == root else f"{a}#{node[len(root) + 1:]}"
 
         fresh = []
-        for node in tree.graph.vertices:
+        for node in tree.vertices:
             name = to_instance(node)
             if name != a:
                 if name in taken:
@@ -262,7 +261,7 @@ def attach_gadgets(g: Graph, ordering: Optional[Sequence[Vertex]],
                 taken.add(name)
                 fresh.append(name)
                 vertices.append(name)
-        for x, y in tree.graph.edges:
+        for x, y in tree.edges:
             edges.append((to_instance(x), to_instance(y)))
         gadget_sets[a] = frozenset(fresh)
     full = Graph(vertices, edges)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, TYPE_CHECKING
 
-from .graphs import Graph, Vertex, connected_in, is_spanning_tree, is_tree
+from .graphs import Graph, Vertex, connected_in, is_tree
 
 if TYPE_CHECKING:
     from .constructions import GadgetInstance
@@ -49,7 +49,9 @@ class ValidationReport:
 class TreeDecomposition:
     """Host tree plus bags. Immutable; bags are stored as frozensets.
 
-    Every host node gets a bag entry (missing entries become empty bags).
+    The host is checked to be a tree here, once, so nothing that takes a
+    decomposition checks it again. Every host node gets a bag entry
+    (missing entries become empty bags).
     Whether the bags satisfy the decomposition conditions for a particular
     graph is checked by validate, not here.
     """
@@ -114,8 +116,6 @@ def validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
     Reports one violation per broken condition: a vertex with an empty or
     disconnected subtree, or an edge whose endpoint subtrees are disjoint.
     """
-    if not is_tree(td.host):
-        raise ValueError("host must be a tree")
     stray = td.decomposed_vertices() - g.vertex_set
     if stray:
         raise ValueError(f"bags mention non-vertices of g: {sorted(stray)!r}")
@@ -138,10 +138,9 @@ def from_subtrees(host: Graph, assignment: Mapping[Vertex, Iterable[Vertex]]
                   ) -> TreeDecomposition:
     """Build the decomposition whose subtrees are exactly the given sets.
 
-    Each assigned set must be a non-empty connected set of host nodes.
+    Each assigned set must be a non-empty connected set of host nodes, and
+    host must be a tree (TreeDecomposition checks it).
     """
-    if not is_tree(host):
-        raise ValueError("host must be a tree")
     bags: Dict[Vertex, set] = {x: set() for x in host.vertices}
     for v, nodes in assignment.items():
         ns = set(nodes)
@@ -164,9 +163,9 @@ def is_anchored(g: Graph, td: TreeDecomposition) -> bool:
     """
     if not validate(g, td):
         raise ValueError("decomposition is not valid for g")
-    if not is_spanning_tree(g, td.host):
-        return False
-    return all(x in td.bag(x) for x in g.vertices)
+    host = td.host  # a tree by construction: spanning iff on V(g), in E(g)
+    return (host.vertex_set == g.vertex_set and host.edges <= g.edges
+            and all(x in td.bag(x) for x in g.vertices))
 
 
 @dataclass(frozen=True)

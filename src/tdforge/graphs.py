@@ -8,9 +8,9 @@ are deterministic: ties are broken by sorting identifiers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Set, Tuple)
+                    Set, Tuple)
 
 Vertex = object  # opaque, order-comparable token; str in practice
 Edge = Tuple[Vertex, Vertex]
@@ -28,13 +28,12 @@ class Graph:
 
     Vertex order is preserved as given; duplicate vertices, loops, and edges
     with undeclared endpoints are rejected. Parallel edges collapse (edges
-    form a set). Optional labels map vertices to strings.
+    form a set).
     """
 
-    __slots__ = ("_vertices", "_vset", "_edges", "_adj", "_labels")
+    __slots__ = ("_vertices", "_vset", "_edges", "_adj")
 
-    def __init__(self, vertices: Iterable[Vertex], edges: Iterable = (),
-                 labels: Optional[Dict[Vertex, str]] = None):
+    def __init__(self, vertices: Iterable[Vertex], edges: Iterable = ()):
         vs = tuple(vertices)
         if not vs:
             raise ValueError("graph needs at least one vertex")
@@ -53,15 +52,10 @@ class Graph:
             es.add(e)
             adj[e[0]].add(e[1])
             adj[e[1]].add(e[0])
-        lab = dict(labels) if labels else {}
-        for v in lab:
-            if v not in vset:
-                raise ValueError(f"label for undeclared vertex {v!r}")
         self._vertices = vs
         self._vset = frozenset(vset)
         self._edges = frozenset(es)
         self._adj = {v: tuple(sorted(adj[v])) for v in vs}
-        self._labels = lab
 
     @property
     def vertices(self) -> Tuple[Vertex, ...]:
@@ -74,10 +68,6 @@ class Graph:
     @property
     def edges(self) -> FrozenSet[Edge]:
         return self._edges
-
-    @property
-    def labels(self) -> Dict[Vertex, str]:
-        return dict(self._labels)
 
     def __len__(self) -> int:
         return len(self._vertices)
@@ -102,63 +92,24 @@ class Graph:
             raise ValueError(f"not vertices of this graph: {sorted(missing)!r}")
         vs = [v for v in self._vertices if v in ks]
         es = [e for e in self._edges if e[0] in ks and e[1] in ks]
-        lab = {v: s for v, s in self._labels.items() if v in ks}
-        return Graph(vs, es, lab)
+        return Graph(vs, es)
 
     def relabel(self, fn) -> "Graph":
         """New graph with every vertex v renamed to fn(v); fn must be injective."""
         vs = [fn(v) for v in self._vertices]
         es = [(fn(u), fn(v)) for u, v in self._edges]
-        lab = {fn(v): s for v, s in self._labels.items()}
-        return Graph(vs, es, lab)
+        return Graph(vs, es)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self._vset == other._vset and self._edges == other._edges
-                and self._labels == other._labels)
+        return self._vset == other._vset and self._edges == other._edges
 
     def __hash__(self) -> int:
         return hash((self._vset, self._edges))
 
     def __repr__(self) -> str:
         return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
-
-
-@dataclass(frozen=True)
-class RootedTree:
-    """A tree with a distinguished root and explicit child-to-parent map."""
-
-    graph: Graph
-    root: Vertex
-    parent: Dict[Vertex, Vertex]
-
-    def __post_init__(self):
-        if not is_tree(self.graph):
-            raise ValueError("underlying graph is not a tree")
-        if self.root not in self.graph:
-            raise ValueError(f"root {self.root!r} not a vertex")
-        if set(self.parent) != self.graph.vertex_set - {self.root}:
-            raise ValueError("parent map must cover exactly the non-root vertices")
-        for c, p in self.parent.items():
-            if not self.graph.has_edge(c, p):
-                raise ValueError(f"parent entry {c!r} -> {p!r} is not an edge")
-
-    def depth(self, v: Vertex) -> int:
-        d = 0
-        while v != self.root:
-            v = self.parent[v]
-            d += 1
-        return d
-
-    def height(self) -> int:
-        return max(self.depth(v) for v in self.graph.vertices)
-
-    def children(self, v: Vertex) -> Tuple[Vertex, ...]:
-        return tuple(c for c in self.graph.neighbors(v) if self.parent.get(c) == v)
-
-    def leaves(self) -> Tuple[Vertex, ...]:
-        return tuple(v for v in self.graph.vertices if not self.children(v))
 
 
 @dataclass(frozen=True)

@@ -86,29 +86,26 @@ def _unpair_key(key: str) -> Tuple[str, str]:
 
 def graph_to_obj(g: Graph) -> dict:
     _check_ids(g.vertices)
-    obj = {"vertices": list(g.vertices), "edges": _sorted_pairs(g.edges)}
-    if g.labels:
-        obj["labels"] = {v: g.labels[v] for v in sorted(g.labels)}
-    return obj
+    return {"vertices": list(g.vertices), "edges": _sorted_pairs(g.edges)}
 
 
-def _graph(vertices, edges, labels=None) -> Graph:
+def _graph(vertices, edges) -> Graph:
     """A Graph from JSON fields, once their shapes are checked: a list of
-    string ids, a list of 2-element lists of string ids, an optional object."""
+    string ids and a list of 2-element lists of string ids."""
     if not isinstance(vertices, list):
         raise ValueError(f"vertices must be a list, got {type(vertices).__name__}")
     _check_ids(vertices)
     if not isinstance(edges, list):
         raise ValueError(f"edges must be a list, got {type(edges).__name__}")
-    if labels is not None and not isinstance(labels, dict):
-        raise ValueError(f"labels must be an object, got {type(labels).__name__}")
-    return Graph(vertices, _pairs(edges, "edges"), labels)
+    return Graph(vertices, _pairs(edges, "edges"))
 
 
 def graph_from_obj(obj: dict) -> Graph:
+    """A Graph from its JSON object; keys other than vertices and edges are
+    ignored."""
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ValueError("graph object needs a 'vertices' field")
-    return _graph(obj["vertices"], obj.get("edges", []), obj.get("labels"))
+    return _graph(obj["vertices"], obj.get("edges", []))
 
 
 # ------------------------------------------------------- decompositions
@@ -246,10 +243,7 @@ def _quote(s: str) -> str:
 def graph_to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for v in g.vertices:
-        if v in g.labels:
-            lines.append(f"  {_quote(v)} [label={_quote(g.labels[v])}];")
-        else:
-            lines.append(f"  {_quote(v)};")
+        lines.append(f"  {_quote(v)};")
     for u, v in sorted(g.edges):
         lines.append(f"  {_quote(u)} -- {_quote(v)};")
     lines.append("}")

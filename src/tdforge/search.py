@@ -183,9 +183,12 @@ def sample_spanning_tree(g: Graph, rng: random.Random) -> Graph:
 
 
 def sample_spanning_trees(g: Graph, count: int, seed: int = 0) -> Iterator[Graph]:
+    """count uniformly random spanning trees drawn lazily from one seeded
+    stream. A negative count raises here, before anything is drawn."""
+    if count < 0:
+        raise ValueError(f"sample count must be >= 0, got {count}")
     rng = random.Random(seed)
-    for _ in range(count):
-        yield sample_spanning_tree(g, rng)
+    return (sample_spanning_tree(g, rng) for _ in range(count))
 
 
 # -------------------------------------------------------------- decider

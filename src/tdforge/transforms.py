@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet
 
 from .constructions import GadgetInstance
 from .decomposition import (TreeDecomposition, ValidationReport, Violation,
-                            validate)
+                            is_anchored, validate)
 from .errors import HostNotSpanning, ReductionInvalid
 from .graphs import (Graph, Vertex, Edge, connected_in, edge, is_connected,
                      is_spanning_tree, is_tree)
@@ -55,12 +55,6 @@ class MinorModel:
 
     def is_covering(self) -> bool:
         return self.covered() == self.graph.vertex_set
-
-    def branch_of(self, v: Vertex) -> Vertex:
-        for x, q in self.branch_sets.items():
-            if v in q:
-                return x
-        raise KeyError(f"{v!r} is in no branch set")
 
 
 def validate_model(m: MinorModel) -> ValidationReport:
@@ -209,17 +203,19 @@ def reduce_to_anchored(inst: GadgetInstance, td: TreeDecomposition
     grows by at most one. With toy schedules the result can be invalid, in
     which case ReductionInvalid carries the validation report.
     """
-    report = validate(inst.graph, td)
+    g, host = inst.graph, td.host
+    report = validate(g, td)
     if not report:
         raise ValueError(f"input decomposition invalid: {report}")
-    if not is_spanning_tree(inst.graph, td.host):
+    # host is a tree by construction: spanning iff on V(g) with edges in E(g)
+    if host.vertex_set != g.vertex_set or not host.edges <= g.edges:
         raise ValueError("host must be a spanning tree of the instance graph")
     if td.width() > inst.schedule.k:
         warnings.warn(
             f"input width {td.width()} exceeds the schedule's k={inst.schedule.k}; "
             "the reduction's guarantees assume width <= k", stacklevel=2)
     base = inst.base
-    induced = td.host.subgraph(base.vertex_set)
+    induced = host.subgraph(base.vertex_set)
     if not is_spanning_tree(base, induced):
         raise HostNotSpanning(
             "induced host is not a spanning tree of the base; "
@@ -236,6 +232,5 @@ def reduce_to_anchored(inst: GadgetInstance, td: TreeDecomposition
     if not out_report:
         raise ReductionInvalid(out_report)
     assert out.width() <= td.width() + 1
-    from .decomposition import is_anchored
     assert is_anchored(base, out)
     return out

@@ -40,6 +40,45 @@ def write_square_td(path: str) -> str:
     return path
 
 
+def write_five_cycle_model() -> None:
+    """The five-cycle, a width-3 decomposition on a two-node tree minor of
+    it, and that minor's model: the inputs of MINOR_TO_SPANNING."""
+    write_graph(cycle_graph(5), "g.json")
+    dump_json({
+        "host_vertices": ["x", "y"], "host_edges": [["x", "y"]],
+        "bags": {"x": ["c00", "c01", "c02", "c04"],
+                 "y": ["c02", "c03", "c04"]},
+    }, "td.json")
+    dump_json({
+        "pattern_vertices": ["x", "y"], "pattern_edges": [["x", "y"]],
+        "branch_sets": {"x": ["c00", "c01", "c02"], "y": ["c03", "c04"]},
+        "edge_map": {"x,y": ["c02", "c03"]},
+    }, "model.json")
+
+
+MINOR_TO_SPANNING = ["transform", "minor-to-spanning", "--graph", "g.json",
+                     "--td", "td.json", "--model", "model.json"]
+
+
+def write_reduce_inputs(widths, bags) -> None:
+    """A two-vertex base with one toy gadget tree of height 1 at each end,
+    and a decomposition with the given bags hosted on the instance itself."""
+    from tdforge.constructions import attach_gadgets, toy_schedule
+    base = Graph(["a0", "a1"], [("a0", "a1")])
+    inst = attach_gadgets(base, None, toy_schedule(1, 2, [1, 1], widths))
+    dump_json(io.instance_to_obj(inst), "inst.json")
+    host = inst.graph  # the instance is a tree, so it hosts itself
+    dump_json(io.td_to_obj(io.td_from_obj({
+        "host_vertices": list(host.vertices),
+        "host_edges": [list(e) for e in sorted(host.edges)],
+        "bags": bags,
+    })), "td.json")
+
+
+REDUCIBLE_BAGS = {"a0#0": ["a0#0", "a0"], "a0": ["a0", "a1"],
+                  "a1": ["a1", "a1#0"], "a1#0": ["a1#0"]}
+
+
 class TestParser:
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -136,48 +175,22 @@ class TestSchedule:
 
 class TestTransform:
     def test_minor_to_spanning(self):
-        write_graph(cycle_graph(5), "g.json")
-        dump_json({
-            "host_vertices": ["x", "y"], "host_edges": [["x", "y"]],
-            "bags": {"x": ["c00", "c01", "c02", "c04"],
-                     "y": ["c02", "c03", "c04"]},
-        }, "td.json")
-        dump_json({
-            "pattern_vertices": ["x", "y"], "pattern_edges": [["x", "y"]],
-            "branch_sets": {"x": ["c00", "c01", "c02"], "y": ["c03", "c04"]},
-            "edge_map": {"x,y": ["c02", "c03"]},
-        }, "model.json")
-        assert main(["transform", "minor-to-spanning", "--graph", "g.json",
-                     "--td", "td.json", "--model", "model.json",
-                     "--out", "out.json"]) == 0
+        write_five_cycle_model()
+        assert main(MINOR_TO_SPANNING + ["--out", "out.json"]) == 0
         td = io.td_from_obj(load_json("out.json"))
         assert td.width() == 3
         assert td.host.edges == {("c00", "c01"), ("c01", "c02"),
                                  ("c02", "c03"), ("c03", "c04")}
 
-    def _write_reduce_inputs(self, widths, bags):
-        from tdforge.constructions import attach_gadgets, toy_schedule
-        base = Graph(["a0", "a1"], [("a0", "a1")])
-        inst = attach_gadgets(base, None, toy_schedule(1, 2, [1, 1], widths))
-        dump_json(io.instance_to_obj(inst), "inst.json")
-        host = inst.graph  # the instance is a tree, so it hosts itself
-        dump_json(io.td_to_obj(io.td_from_obj({
-            "host_vertices": list(host.vertices),
-            "host_edges": [list(e) for e in sorted(host.edges)],
-            "bags": bags,
-        })), "td.json")
-
     def test_reduce_success(self):
-        self._write_reduce_inputs([1, 1], {
-            "a0#0": ["a0#0", "a0"], "a0": ["a0", "a1"],
-            "a1": ["a1", "a1#0"], "a1#0": ["a1#0"]})
+        write_reduce_inputs([1, 1], REDUCIBLE_BAGS)
         assert main(["transform", "reduce", "--instance", "inst.json",
                      "--td", "td.json", "--out", "out.json"]) == 0
         out = io.td_from_obj(load_json("out.json"))
         assert out.bags == {"a0": {"a0", "a1"}, "a1": {"a1"}}
 
     def test_reduce_reports_invalid(self, tmp_path, capsys):
-        self._write_reduce_inputs([2, 2], {
+        write_reduce_inputs([2, 2], {
             "a0": ["a0#1", "a1#0", "a1#1"], "a1": ["a1#0", "a1#1"],
             "a0#0": ["a0", "a1", "a0#0", "a0#1", "a1#0", "a1#1"],
             "a0#1": ["a0#1"], "a1#0": ["a1#0"], "a1#1": ["a1#1"]})
@@ -416,6 +429,20 @@ class TestExport:
         assert main(["export", "--input", "number.json"]) == 2
         assert main(["export", "--input", "absent.json"]) == 2
 
+    def test_graph_labels_key_is_ignored(self, capsys):
+        """A "labels" key is an unknown key like any other: the graph loads,
+        and nothing of it reaches the outputs."""
+        obj = io.graph_to_obj(cycle_graph(4))
+        dump_json(obj, "plain.json")
+        dump_json({**obj, "labels": {"zz": "x"}}, "labelled.json")
+        for name in ("plain", "labelled"):
+            assert main(["search", "spanning", "--graph", f"{name}.json",
+                         "--count-only", "--out", f"{name}.count.json"]) == 0
+            assert main(["export", "--input", f"{name}.json",
+                         "--out", f"{name}.dot"]) == 0
+        assert load_json("labelled.count.json") == {"count": 4}
+        assert open("labelled.dot").read() == open("plain.dot").read()
+
 
 class TestMalformedInput:
     def run_cli(self, *argv):
@@ -468,6 +495,13 @@ class TestMalformedInput:
         dump_json(obj, "inst.json")
         self.assert_usage_error_with_manifest("export", "--input", "inst.json")
 
+    def test_negative_sample_count(self):
+        self.assert_usage_error_with_manifest("certify", "--r", "3",
+                                              "--sample", "-1")
+        assert main(["certify", "--r", "3", "--sample", "0",
+                     "--out", "zero.json"]) == 0
+        assert load_json("zero.json")["certificates"] == []
+
     def test_model_branch_sets_not_an_object(self):
         write_graph(cycle_graph(4), "g.json")
         write_square_td("td.json")
@@ -498,10 +532,14 @@ class TestPinnedOutputs:
     def test_digest(self, tmp_path, capsys, argv, digest):
         assert self.digest(tmp_path, argv) == digest
 
-    @staticmethod
-    def digest(tmp_path, argv):
+    @classmethod
+    def digest(cls, tmp_path, argv):
         assert main(argv + ["--out", "out.json"]) == 0
-        return hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+        return cls.sha256(tmp_path / "out.json")
+
+    @staticmethod
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_anchored_decide_digest(self, tmp_path, capsys):
         """Status, node count and witness of the anchored decider at
@@ -515,6 +553,36 @@ class TestPinnedOutputs:
             "search", "decide", "--graph", "g.json", "--host", "host.json",
             "--budget", "3", "--anchored"]) == \
             "762905ae6373312aa3c7691582f6ff188f1c297893423db8c0391e71e04d77a5"
+
+    def test_gadget_and_export_digests(self, tmp_path, capsys):
+        """A toy gadget instance (graph and sidecar), whose trees come from
+        complete_ary_tree, and the DOT export of its instance and graph."""
+        write_graph(path_graph(3), "base.json")
+        self.digest(tmp_path, ["construct", "gadget", "--k", "1",
+                               "--graph", "base.json", "--ordering",
+                               "p01,p00,p02", "--toy-heights", "2,1,3",
+                               "--toy-widths", "2,3,1"])
+        digests = [self.sha256(tmp_path / name)
+                   for name in ("out.json", "out.meta.json")]
+        for name in ("out.meta.json", "out.json"):
+            assert main(["export", "--input", name, "--out", "out.dot"]) == 0
+            digests.append(self.sha256(tmp_path / "out.dot"))
+        assert digests == [
+            "8c2055414113888c2f21468ee4fcb87ccf86d4e388b4c723bc38372f83fed28e",
+            "9e9d0a9dbc9523ce9082e484a15862998b4c583f4eb1ac1ad2e262df05a81496",
+            "4f9d8d4a6fca536f67dc43900ff5e7ad6df5930c72199804d0dbfa2e6103ab2f",
+            "5c83054ad9babd95fe113683692563dead74ef91e89989227cfe937bcfa76502",
+        ]
+
+    def test_transform_digests(self, tmp_path, capsys):
+        write_five_cycle_model()
+        assert self.digest(tmp_path, MINOR_TO_SPANNING) == \
+            "ee598f50ca4b9a170da0cf0bfef21ee8d3b04910008ab8844a22232b7a423bcd"
+        write_reduce_inputs([1, 1], REDUCIBLE_BAGS)
+        assert self.digest(tmp_path, [
+            "transform", "reduce", "--instance", "inst.json",
+            "--td", "td.json"]) == \
+            "ccf0c8f7328bf8635d791fa331cc7b512b5df6fc00677da70724cb68cd848eb5"
 
 
 class TestSettingsPrecedence:

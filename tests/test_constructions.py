@@ -14,7 +14,7 @@ from tdforge.constructions import (
     toy_schedule,
 )
 from tdforge.errors import ScheduleTooLarge, SizeExceeded
-from tdforge.graphs import Graph, is_connected, is_tree
+from tdforge.graphs import Graph, is_connected, is_tree, tree_path
 
 
 class TestReflectedTree:
@@ -80,19 +80,29 @@ class TestAryTrees:
 
     def test_complete_ary_tree(self):
         t = complete_ary_tree(2, 2)
-        assert len(t.graph) == 7
-        assert is_tree(t.graph)
-        assert t.root == "g"
-        assert t.height() == 2
-        assert len(t.leaves()) == 4
-        assert t.children("g") == ("g.0", "g.1")
-        assert t.parent["g.1.0"] == "g.1"
+        assert t.vertices[0] == "g"  # the root is listed first
+        assert [v for v in t.vertices if t.degree(v) == 1] == [
+            "g.0.0", "g.0.1", "g.1.0", "g.1.1"]
+        assert tree_path(t, "g", "g.1.0") == ["g", "g.1", "g.1.0"]
+        for w in range(1, 4):
+            for h in range(0, 4):
+                t = complete_ary_tree(w, h, root="r")
+                assert len(t) == ary_tree_size(w, h) and is_tree(t)
+                assert t.vertices[0] == "r"
+                assert t.neighbors("r") == tuple(f"r.{i}"
+                                                 for i in range(w if h else 0))
+                paths = [tree_path(t, "r", v) for v in t.vertices]
+                assert max(len(p) for p in paths) == h + 1
+                leaves = [v for v in t.vertices[1:] if t.degree(v) == 1]
+                assert len(leaves) == (w ** h if h else 0)
+                for p in paths:  # each step down appends ".i" to the id
+                    assert all(b.rsplit(".", 1)[0] == a
+                               for a, b in zip(p, p[1:]))
 
     def test_unary_tree_is_a_path(self):
         t = complete_ary_tree(1, 3)
-        assert len(t.graph) == 4
-        assert t.height() == 3
-        assert len(t.leaves()) == 1
+        assert len(t) == 4 and is_tree(t)
+        assert tree_path(t, "g", "g.0.0.0") == ["g", "g.0", "g.0.0", "g.0.0.0"]
 
     def test_cap(self):
         with pytest.raises(SizeExceeded):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdforge.constructions import attach_gadgets, toy_schedule
 from tdforge.decomposition import (
@@ -15,8 +16,10 @@ from tdforge.decomposition import (
     is_anchored,
     validate,
 )
-from tdforge.graphs import Graph, cycle_graph, path_graph
-from generators import random_model_and_td
+from tdforge.graphs import (Graph, cycle_graph, is_spanning_tree, path_graph,
+                            tree_path)
+from tdforge.transforms import minor_to_spanning
+from generators import random_model_and_td, random_spanning_tree, random_tree
 
 
 def square_on_path():
@@ -152,6 +155,29 @@ class TestIsAnchored:
         g, td = square_on_path()
         with pytest.raises(ValueError):
             is_anchored(g, TreeDecomposition(td.host, {}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_matches_definition(self, seed):
+        """is_anchored against its definition on the generator's pattern
+        host, on its rehosting onto a spanning tree, and on random spanning
+        and non-spanning trees over V(g). On the last two every subtree is
+        a path from one shared centre node, to v itself half the time."""
+        rng = random.Random(seed)
+        g, td, model = random_model_and_td(rng)
+        tds = [td, minor_to_spanning(g, td, model)]
+        for host in (random_spanning_tree(rng, g),
+                     random_tree(rng, list(g.vertices))):
+            centre = rng.choice(host.vertices)
+            ends = {v: v if rng.random() < 0.5 else rng.choice(host.vertices)
+                    for v in g.vertices}
+            tds.append(from_subtrees(host, {v: tree_path(host, centre, end)
+                                            for v, end in ends.items()}))
+        for d in tds:
+            assert validate(g, d)
+            assert is_anchored(g, d) == (
+                is_spanning_tree(g, d.host)
+                and all(x in d.bag(x) for x in g.vertices))
 
 
 class TestClassifyVertices:

@@ -11,7 +11,6 @@ from tdforge.graphs import (
     Graph,
     HostTree,
     Matching,
-    RootedTree,
     complete_graph,
     cycle_graph,
     edge,
@@ -256,18 +255,6 @@ class TestSmallTypes:
         assert list(m) == [("a", "b"), ("c", "d")]
         with pytest.raises(ValueError):
             Matching(frozenset([("a", "b"), ("b", "c")]))
-
-    def test_rooted_tree(self):
-        t = path_graph(4)
-        rt = RootedTree(t, "p00",
-                        {"p01": "p00", "p02": "p01", "p03": "p02"})
-        assert rt.depth("p03") == 3 and rt.height() == 3
-        assert rt.children("p01") == ("p02",)
-        assert rt.leaves() == ("p03",)
-        with pytest.raises(ValueError):
-            RootedTree(t, "p00", {"p01": "p00"})  # incomplete parent map
-        with pytest.raises(ValueError):
-            RootedTree(cycle_graph(4), "c00", {})
 
     def test_cycle_is_plain_data(self):
         cyc = Cycle(frozenset({"a", "b", "c"}),

@@ -1,0 +1,60 @@
+"""Every module of the package uses every name it imports."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "tdforge")
+# __init__ imports names only to re-export them
+MODULES = sorted(f for f in os.listdir(SRC)
+                 if f.endswith(".py") and f != "__init__.py")
+
+
+def unused_imports(source: str):
+    """Names bound by the module's imports, anywhere in it, that no
+    expression loads. Names inside string annotations count as loaded, so
+    an import under TYPE_CHECKING used only as "Name" is a use."""
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in filter(None, annotations):
+            for sub in ast.walk(ann):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    used.update(n.id for n in ast.walk(ast.parse(sub.value))
+                                if isinstance(n, ast.Name))
+    return sorted(imported - used)
+
+
+def test_checker_flags_unused_and_reads_string_annotations():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from typing import TYPE_CHECKING, Dict, List\n"
+              "if TYPE_CHECKING:\n"
+              "    from x import Late\n"
+              "def f(a: 'Late') -> 'Dict[str, int]':\n"
+              "    from y import z as inner\n"
+              "    return {}\n")
+    assert unused_imports(source) == ["List", "inner", "os"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
