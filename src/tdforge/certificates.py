@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 from .constructions import ReflectedTree
-from .decomposition import TreeDecomposition, is_anchored, validate
+from .decomposition import TreeDecomposition, _anchored, validate
 from .errors import CertificateContradiction, HypothesisViolated, StructureViolation
 from .graphs import (Edge, Graph, HostTree, Matching, Vertex, component_in,
                      connected_in, path_edges)
@@ -187,7 +187,7 @@ def bag_lower_bound(rt: ReflectedTree, cert: WidthCertificate,
     report = validate(rt.graph, td)
     if not report:
         raise HypothesisViolated(f"decomposition invalid: {report}")
-    if not is_anchored(rt.graph, td):
+    if not _anchored(rt.graph, td):
         raise HypothesisViolated("decomposition is not anchored")
     hub_bag = td.bag(cert.hub)
     forced = []

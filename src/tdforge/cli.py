@@ -23,7 +23,7 @@ from . import __version__, io
 from .certificates import bag_lower_bound, reflected_matching, verify_certificate
 from .constructions import (DEFAULT_CAP, attach_gadgets, gadget_schedule,
                             reflected_tree, toy_schedule)
-from .decomposition import is_anchored, validate
+from .decomposition import _anchored, validate
 from .errors import (CapExceeded, CertificateContradiction, ReductionInvalid,
                      ScheduleTooLarge, SizeExceeded, TdforgeError)
 from .graphs import Graph
@@ -95,6 +95,7 @@ class Run:
         self.started = time.time()
         self.inputs: Dict[str, str] = {}
         self.outputs: List[str] = []
+        self.decider: Optional[Dict[str, object]] = None
 
     def read_json(self, path: str):
         with open(path, "rb") as fh:
@@ -135,6 +136,8 @@ class Run:
             "exit_code": exit_code,
             "error": error,
         }
+        if self.decider is not None:
+            manifest["decider"] = self.decider
         try:
             with open(manifest_path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(manifest, indent=2) + "\n")
@@ -293,6 +296,7 @@ def cmd_search(run: Run, args) -> int:
         g = _load_graph(run, args.graph)
         host = _load_graph(run, args.host)
         res = min_width_on_tree(g, host, args.budget, anchored=args.anchored)
+        run.decider = {"source": res.source, "nodes": res.nodes}
         out = {"status": res.status, "budget": res.budget,
                "anchored": res.anchored, "nodes": res.nodes}
         if res.witness is not None:
@@ -337,7 +341,7 @@ def cmd_verify(run: Run, args) -> int:
     ok = bool(report)
     if ok:
         out["width"] = td.width()
-        out["anchored"] = is_anchored(g, td)
+        out["anchored"] = _anchored(g, td)
         if args.budget is not None and td.width() > args.budget:
             out["width_within_budget"] = False
             ok = False
@@ -391,28 +395,36 @@ def cmd_pipeline(run: Run, args) -> int:
                 "population": str(total)}
         trees = sample_spanning_trees(core.graph, DEFAULT_SAMPLE, seed=run.seed)
 
-    certified = 0
-    unsat = 0
-    tested = 0
+    def certified(trees):
+        """Pass every tree on, certifying each until the first failure."""
+        count: Optional[int] = 0
+        for t in trees:
+            if count is not None:
+                cert = reflected_matching(core, t)
+                if len(cert.matching) == k + 1 and verify_certificate(core, cert):
+                    count += 1
+                else:
+                    record("certificates", False, tree=sorted(t.edges))
+                    count = None
+            yield t
+        if count is not None:
+            record("certificates", True, level=k + 2, matching_size=k + 1,
+                   certified=count, **mode)
+
     budget = k - 1
-    tree_list = list(trees)
-    for t in tree_list:
-        cert = reflected_matching(core, t)
-        if len(cert.matching) != k + 1 or not verify_certificate(core, cert):
-            record("certificates", False, tree=sorted(t.edges))
-            break
-        certified += 1
-    else:
-        record("certificates", True, level=k + 2, matching_size=k + 1,
-               certified=certified, **mode)
-    for res in decide_over_trees(core.graph, tree_list, budget, True,
+    unsat = 0
+    sat = False
+    stream = certified(trees)
+    for res in decide_over_trees(core.graph, stream, budget, True,
                                  jobs=args.jobs):
-        tested += 1
-        if res.is_sat:
-            record("anchored-width-bound", False, budget=budget,
-                   tree_index=tested - 1)
+        sat = res.is_sat
+        if sat:
             break
         unsat += 1
+    for _ in stream:
+        pass  # after an early SAT, certify the rest: "certificates" comes first
+    if sat:
+        record("anchored-width-bound", False, budget=budget, tree_index=unsat)
     else:
         record("anchored-width-bound", True, budget=budget, unsat=unsat,
                **mode)

@@ -163,6 +163,11 @@ def is_anchored(g: Graph, td: TreeDecomposition) -> bool:
     """
     if not validate(g, td):
         raise ValueError("decomposition is not valid for g")
+    return _anchored(g, td)
+
+
+def _anchored(g: Graph, td: TreeDecomposition) -> bool:
+    """is_anchored for a decomposition its caller has just validated."""
     host = td.host  # a tree by construction: spanning iff on V(g), in E(g)
     return (host.vertex_set == g.vertex_set and host.edges <= g.edges
             and all(x in td.bag(x) for x in g.vertices))

@@ -10,16 +10,18 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .decomposition import TreeDecomposition, from_subtrees, is_anchored, validate
+from .decomposition import TreeDecomposition, _anchored, from_subtrees, validate
 from .errors import CapExceeded
 from .graphs import (Graph, HostTree, Vertex, component_in, is_connected,
                      path_graph, tree_diameter)
 
 SAT = "SAT"
 UNSAT = "UNSAT"
+BOUND = "bound"    # answered by minor_min_width, without search
+SEARCH = "search"
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,7 @@ class DeciderResult:
     anchored: bool
     nodes: int
     seconds: float
+    source: str  # BOUND or SEARCH: where the answer came from
 
     @property
     def is_sat(self) -> bool:
@@ -193,24 +196,72 @@ def sample_spanning_trees(g: Graph, count: int, seed: int = 0) -> Iterator[Graph
 
 # -------------------------------------------------------------- decider
 
+def minor_min_width(g: Graph) -> int:
+    """A lower bound on the treewidth of g: its minor-min-width (Bodlaender
+    and Koster, "Treewidth computations II. Lower bounds", 2011).
+
+    Repeatedly contracts a vertex of minimum degree into its neighbour of
+    minimum degree (an isolated vertex is deleted; ties go to the smaller
+    name) and returns the largest minimum degree seen.
+
+    Sound as a decider bound: every intermediate graph is a minor of g; a
+    graph's minimum degree is at most its treewidth (in a decomposition
+    with no bag inside a neighbouring one, a leaf bag holds a vertex seen
+    nowhere else, and with it all of that vertex's neighbours); treewidth
+    is minor-monotone; and a decomposition on any host, anchored or not,
+    is a tree decomposition of g. So budget < minor_min_width(g) is UNSAT.
+    """
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    best = 0
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        nbrs = adj.pop(v)
+        best = max(best, len(nbrs))
+        if not nbrs:
+            continue
+        u = min(nbrs, key=lambda x: (len(adj[x]), x))
+        for w in nbrs:
+            adj[w].discard(v)
+            if w != u:
+                adj[w].add(u)
+                adj[u].add(w)
+    return best
+
+
+def _host_tree(g: Graph, host: Graph) -> HostTree:
+    try:
+        return HostTree(g, host)
+    except ValueError:
+        raise ValueError("host is not a spanning tree of g") from None
+
+
 def min_width_on_tree(g: Graph, host: Graph, budget: int,
                       anchored: bool = False) -> DeciderResult:
     """Decide whether g has a width-<= budget decomposition on this host.
 
-    Exact. Searches edge by edge over the shared host node each edge's
-    endpoint subtrees must meet, growing each subtree as the minimal one
-    spanning its chosen nodes. Any satisfying assignment can be shrunk to
-    that form (replace each subtree by the union of host paths from the
-    vertex, or its first node, to one shared node per incident edge), so
-    restricting the search loses nothing.
+    Exact. A budget below minor_min_width(g) is answered UNSAT without
+    search (source "bound"); any other budget is searched (source "search")
+    edge by edge over the shared host node each edge's endpoint subtrees
+    must meet, growing each subtree as the minimal one spanning its chosen
+    nodes. Any satisfying assignment can be shrunk to that form (replace
+    each subtree by the union of host paths from the vertex, or its first
+    node, to one shared node per incident edge), so restricting the search
+    loses nothing.
     """
+    return _decide(_host_tree(g, host), budget, anchored, minor_min_width(g))
+
+
+def _decide(tree: HostTree, budget: int, anchored: bool,
+            bound: int) -> DeciderResult:
+    """min_width_on_tree on a checked host, given a lower bound on the
+    treewidth of tree.graph; bound 0 runs the raw search."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    try:
-        tree = HostTree(g, host)
-    except ValueError:
-        raise ValueError("host is not a spanning tree of g") from None
     t0 = time.perf_counter()
+    if budget < bound:
+        return DeciderResult(UNSAT, None, budget, anchored, 0,
+                             time.perf_counter() - t0, BOUND)
+    g, host = tree.graph, tree.tree
     verts = tree.vertices
     n = len(verts)
     index = tree.index
@@ -295,7 +346,7 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
         assert validate(g, td)
         assert td.width() <= budget
         if anchored:
-            assert is_anchored(g, td)
+            assert _anchored(g, td)
         witness_holder.append(td)
         return True
 
@@ -306,28 +357,26 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
             return finish()
         a, b = epairs[j]
         sa, sb = sub[a], sub[b]
-        for x in range(n):
-            bit = 1 << x
-            extra = (0 if sa & bit else 1) + (0 if sb & bit else 1)
-            if loads[x] + extra > cap:
-                continue
+        le1, le2 = state["le1"], state["le2"]
+        # sa and sb are disjoint, so every candidate gains at least one
+        # guest: only nodes in le1 can be the shared node
+        xs = le1
+        while xs:
+            bit = xs & -xs
+            xs ^= bit
+            x = bit.bit_length() - 1
             ga = 0 if sa & bit else ((path_mask(x, rep[a]) & ~sa) if sa else bit)
             gb = 0 if sb & bit else ((path_mask(x, rep[b]) & ~sb) if sb else bit)
-            both = ga | gb
+            # a node on one new path needs room for one guest, on both for two
+            if (ga ^ gb) & ~le1 or ga & gb & ~le2:
+                continue
             touched: List[Tuple[int, int]] = []
-            ok = True
-            y = both
+            y = ga | gb
             while y:
                 yb = y & -y
-                yi = yb.bit_length() - 1
-                d = (1 if ga & yb else 0) + (1 if gb & yb else 0)
-                if loads[yi] + d > cap:
-                    ok = False
-                    break
-                touched.append((yi, d))
                 y ^= yb
-            if not ok:
-                continue
+                touched.append((yb.bit_length() - 1,
+                                (1 if ga & yb else 0) + (1 if gb & yb else 0)))
             state["nodes"] += 1
             old_rep_a, old_rep_b = rep[a], rep[b]
             sub[a] = sa | ga
@@ -350,28 +399,45 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
     seconds = time.perf_counter() - t0
     if sat:
         return DeciderResult(SAT, witness_holder[0], budget, anchored,
-                             state["nodes"], seconds)
-    return DeciderResult(UNSAT, None, budget, anchored, state["nodes"], seconds)
+                             state["nodes"], seconds, SEARCH)
+    return DeciderResult(UNSAT, None, budget, anchored, state["nodes"],
+                         seconds, SEARCH)
+
+
+# The graph and its bound in a pool worker, set once by the initializer.
+_sweep_graph: Optional[Tuple[Graph, int]] = None
+
+
+def _init_sweep_worker(g: Graph, bound: int) -> None:
+    global _sweep_graph
+    _sweep_graph = (g, bound)
 
 
 def _sweep_worker(args) -> DeciderResult:
-    g, tree_edges, budget, anchored = args
-    host = Graph(g.vertices, tree_edges)
-    res = min_width_on_tree(g, host, budget, anchored)
+    tree_edges, budget, anchored = args
+    g, bound = _sweep_graph
+    res = _decide(_host_tree(g, Graph(g.vertices, tree_edges)), budget,
+                  anchored, bound)
     # witnesses are dropped in sweep mode to keep results light
-    return DeciderResult(res.status, None, res.budget, res.anchored,
-                         res.nodes, res.seconds)
+    return replace(res, witness=None)
 
 
 def decide_over_trees(g: Graph, trees: Iterable[Graph], budget: int,
                       anchored: bool, jobs: int = 1) -> Iterator[DeciderResult]:
-    """Run the decider over many host trees, optionally in a process pool."""
-    if jobs <= 1:
+    """Run the decider over many host trees of g, optionally in a process
+    pool that receives g once per worker.
+
+    minor_min_width(g) is computed once per sweep. Below it every host is
+    still checked, but nothing is searched and no pool is started.
+    """
+    bound = minor_min_width(g)
+    if jobs <= 1 or budget < bound:
         for t in trees:
-            yield min_width_on_tree(g, t, budget, anchored)
+            yield _decide(_host_tree(g, t), budget, anchored, bound)
         return
-    tasks = ((g, sorted(t.edges), budget, anchored) for t in trees)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    tasks = ((sorted(t.edges), budget, anchored) for t in trees)
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_sweep_worker,
+                             initargs=(g, bound)) as pool:
         yield from pool.map(_sweep_worker, tasks, chunksize=16)
 
 
@@ -379,33 +445,37 @@ def min_anchored_spanning_width(g: Graph, cap_vertices: int = 12
                                 ) -> Tuple[int, Graph, TreeDecomposition]:
     """Minimum anchored width over every spanning tree of g, with a witness.
 
-    Exhaustive over spanning trees, so guarded by a vertex cap.
+    Exhaustive over spanning trees, so guarded by a vertex cap. The budget
+    climb starts at minor_min_width(g), and enumeration stops once a tree
+    attains it, since no tree can do better.
     """
     if not is_connected(g):
         raise ValueError("need a connected graph")
     if len(g) > cap_vertices:
         raise CapExceeded(len(g), cap_vertices, "min anchored spanning width")
+    bound = minor_min_width(g)
     best: Optional[int] = None
     best_host: Optional[Graph] = None
     best_witness: Optional[TreeDecomposition] = None
     for t in enumerate_spanning_trees(g):
+        if best == bound:
+            break
+        tree = HostTree(g, t)
         if best is None:
-            b = 0
+            b = bound
             while True:
-                res = min_width_on_tree(g, t, b, anchored=True)
+                res = _decide(tree, b, True, bound)
                 if res.is_sat:
                     best, best_host, best_witness = b, t, res.witness
                     break
                 b += 1
         else:
-            if best == 0:
-                break
-            res = min_width_on_tree(g, t, best - 1, anchored=True)
+            res = _decide(tree, best - 1, True, bound)
             if not res.is_sat:
                 continue
             b, wit = best - 1, res.witness
-            while b > 0:
-                res = min_width_on_tree(g, t, b - 1, anchored=True)
+            while b > bound:
+                res = _decide(tree, b - 1, True, bound)
                 if not res.is_sat:
                     break
                 b, wit = b - 1, res.witness

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet
 
 from .constructions import GadgetInstance
 from .decomposition import (TreeDecomposition, ValidationReport, Violation,
-                            is_anchored, validate)
+                            _anchored, validate)
 from .errors import HostNotSpanning, ReductionInvalid
 from .graphs import (Graph, Vertex, Edge, connected_in, edge, is_connected,
                      is_spanning_tree, is_tree)
@@ -232,5 +232,5 @@ def reduce_to_anchored(inst: GadgetInstance, td: TreeDecomposition
     if not out_report:
         raise ReductionInvalid(out_report)
     assert out.width() <= td.width() + 1
-    assert is_anchored(base, out)
+    assert _anchored(base, out)
     return out

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -287,12 +288,18 @@ class TestSearchCommands:
         assert main(["search", "decide", "--graph", "g.json", "--host",
                      "host.json", "--budget", "1", "--anchored"]) == 0
         low = json.loads(capsys.readouterr().out)
-        assert low["status"] == "UNSAT" and "witness" not in low
+        assert low == {"status": "UNSAT", "budget": 1, "anchored": True,
+                       "nodes": 0}  # the 4-cycle's minor-min-width is 2
+        manifest = load_json("tdforge.manifest.json")
+        assert manifest["decider"] == {"source": "bound", "nodes": 0}
         assert main(["search", "decide", "--graph", "g.json", "--host",
                      "host.json", "--budget", "2", "--anchored"]) == 0
         high = json.loads(capsys.readouterr().out)
         assert high["status"] == "SAT"
         assert io.td_from_obj(high["witness"]).width() <= 2
+        manifest = load_json("tdforge.manifest.json")
+        assert manifest["decider"] == {"source": "search",
+                                       "nodes": high["nodes"]}
 
     def test_min_anchored(self, capsys):
         write_graph(cycle_graph(4), "g.json")
@@ -405,6 +412,31 @@ class TestPipeline:
 
     def test_rejects_bad_k(self, capsys):
         assert main(["pipeline", "--k", "0"]) == 2
+
+    def test_failed_checks_keep_their_order(self, capsys, monkeypatch):
+        """The fifth certificate fails and the third tree decides SAT: both
+        checks fail, certifying stops at the failure, and the certificates
+        check is still recorded before the width check."""
+        from tdforge import cli
+        verified = []
+
+        def verify(core, cert):
+            verified.append(cert)
+            return len(verified) != 5
+
+        def decide(g, trees, budget, anchored, jobs=1):
+            for i, _ in enumerate(trees):
+                yield SimpleNamespace(is_sat=i == 2)
+
+        monkeypatch.setattr(cli, "verify_certificate", verify)
+        monkeypatch.setattr(cli, "decide_over_trees", decide)
+        assert main(["pipeline", "--k", "1"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"][2:]
+        assert [(c["check"], c["ok"]) for c in checks] == [
+            ("certificates", False), ("anchored-width-bound", False)]
+        assert len(checks[0]["tree"]) == 9  # the fifth tree's edges
+        assert checks[1]["tree_index"] == 2
+        assert len(verified) == 5
 
 
 class TestExport:
@@ -553,6 +585,20 @@ class TestPinnedOutputs:
             "search", "decide", "--graph", "g.json", "--host", "host.json",
             "--budget", "3", "--anchored"]) == \
             "762905ae6373312aa3c7691582f6ff188f1c297893423db8c0391e71e04d77a5"
+
+    def test_unanchored_decide_digest(self, tmp_path, capsys):
+        """Status, node count and witness of the unanchored decider at
+        budget 2 on the same host: level 3 has minor-min-width 2, so the
+        lower bound does not settle this call and it is searched."""
+        from tdforge.constructions import reflected_tree
+        from tdforge.search import enumerate_spanning_trees
+        g = reflected_tree(3).graph
+        write_graph(g, "g.json")
+        write_graph(next(enumerate_spanning_trees(g)), "host.json")
+        assert self.digest(tmp_path, [
+            "search", "decide", "--graph", "g.json", "--host", "host.json",
+            "--budget", "2"]) == \
+            "b80ee872a755dfdd52b6ccd8e91650ef465f2e32d7690b4479c7c26be629fc42"
 
     def test_gadget_and_export_digests(self, tmp_path, capsys):
         """A toy gadget instance (graph and sidecar), whose trees come from

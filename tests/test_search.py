@@ -1,21 +1,27 @@
 """Spanning-tree machinery, the width decider, and exact treewidth."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tdforge import search
 from tdforge.constructions import reflected_tree
 from tdforge.decomposition import TreeDecomposition, is_anchored, validate
 from tdforge.errors import CapExceeded
 from tdforge.graphs import (
     Graph,
+    HostTree,
     complete_graph,
     cycle_graph,
     is_spanning_tree,
     path_graph,
 )
 from tdforge.search import (
+    BOUND,
     SAT,
+    SEARCH,
     UNSAT,
     check_longpath_property,
     count_spanning_trees,
@@ -25,10 +31,11 @@ from tdforge.search import (
     longpath_threshold,
     min_anchored_spanning_width,
     min_width_on_tree,
+    minor_min_width,
     sample_spanning_tree,
     sample_spanning_trees,
 )
-from generators import random_connected_graph, random_tree
+from generators import oracle_corpus, random_connected_graph, random_tree
 from oracles import brute_count_spanning_trees, brute_treewidth, naive_threshold
 
 
@@ -149,6 +156,36 @@ class TestDecider:
         assert res.nodes >= 0
         assert res.seconds >= 0
 
+    def test_budgets_below_the_bound_are_not_searched(self):
+        g = complete_graph(5)
+        host = next(enumerate_spanning_trees(g))
+        for anchored in (False, True):
+            for budget in range(4):
+                res = min_width_on_tree(g, host, budget, anchored=anchored)
+                assert (res.status, res.nodes, res.source) == (UNSAT, 0, BOUND)
+            res = min_width_on_tree(g, host, 4, anchored=anchored)
+            assert res.is_sat and res.source == SEARCH and res.nodes > 0
+
+    def test_raw_search_agrees_with_naive_oracle(self):
+        """The search itself, with no bound (bound 0), against the oracle at
+        budgets 0..3 on a seeded slice of the oracle corpus: K4 and K5, whose
+        UNSAT answers the bound would otherwise settle, and 20 more graphs,
+        on up to two seeded hosts each."""
+        graphs = oracle_corpus()
+        rng = random.Random(17)
+        complete = [next(g for g in graphs if len(g) == n and
+                         len(g.edges) == n * (n - 1) // 2) for n in (4, 5)]
+        for g in complete + rng.sample(graphs, 20):
+            trees = list(enumerate_spanning_trees(g))
+            for host in rng.sample(trees, min(2, len(trees))):
+                tree = HostTree(g, host)
+                for anchored in (False, True):
+                    want = naive_threshold(g, host, 3, anchored)
+                    got = next((b for b in range(4) if search._decide(
+                        tree, b, anchored, 0).is_sat), 4)
+                    assert got == want
+                    assert minor_min_width(g) <= want
+
     def test_tree_hosts_itself_at_width_one(self):
         rng = random.Random(11)
         for _ in range(15):
@@ -174,19 +211,31 @@ class TestDecider:
 
 
 class TestDecideOverTrees:
-    def test_parallel_matches_serial(self):
-        g = complete_graph(4)
+    def test_parallel_matches_serial(self, monkeypatch):
+        g = complete_graph(4)  # minor-min-width 3
         trees = list(enumerate_spanning_trees(g))
-        for budget in (2, 3):
+        for budget in (1, 2, 3):
             serial = list(decide_over_trees(g, trees, budget, anchored=True))
+            if budget < 3:  # below the bound: no pool may be started
+                monkeypatch.setattr(search, "ProcessPoolExecutor", None)
             pooled = list(decide_over_trees(g, trees, budget, anchored=True,
                                             jobs=2))
-            assert [r.status for r in serial] == [r.status for r in pooled]
+            monkeypatch.undo()
+            assert [(r.status, r.nodes, r.source) for r in serial] == \
+                [(r.status, r.nodes, r.source) for r in pooled]
             for r in serial:
                 assert (r.witness is None) == (r.status == UNSAT)
             for r in pooled:
                 assert r.witness is None  # sweep mode drops witnesses
+            sources = {r.source for r in serial}
+            assert sources == ({BOUND} if budget < 3 else {SEARCH})
         assert {r.status for r in serial} == {SAT}
+
+    def test_hosts_are_checked_below_the_bound(self):
+        g = complete_graph(4)
+        not_spanning = Graph(g.vertices, [])
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            list(decide_over_trees(g, [not_spanning], 0, anchored=True))
 
 
 class TestMinAnchoredSpanningWidth:
@@ -215,6 +264,40 @@ class TestMinAnchoredSpanningWidth:
         big = random_tree(rng, [f"t{i:02d}" for i in range(13)])
         with pytest.raises(CapExceeded):
             min_anchored_spanning_width(big)
+
+
+class TestMinorMinWidth:
+    def test_exact_values(self):
+        for n in range(1, 7):
+            assert minor_min_width(complete_graph(n)) == n - 1
+        for n in range(3, 9):
+            assert minor_min_width(cycle_graph(n)) == 2
+        rng = random.Random(8)
+        for n in range(2, 12):
+            ids = [f"t{i:02d}" for i in range(n)]
+            assert minor_min_width(random_tree(rng, ids)) == 1
+        grid = Graph([f"g{r}{c}" for r in range(3) for c in range(3)],
+                     [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(3)
+                      for c in range(2)] +
+                     [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(2)
+                      for c in range(3)])
+        assert minor_min_width(grid) == 3
+        k33 = Graph(["a0", "a1", "a2", "b0", "b1", "b2"],
+                    [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
+        assert minor_min_width(k33) == 3
+        assert minor_min_width(reflected_tree(4).graph) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(
+            st.booleans(), min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2))))
+    def test_at_most_treewidth(self, case):
+        n, picks = case
+        vs = [f"v{i}" for i in range(n)]
+        pairs = itertools.combinations(vs, 2)
+        g = Graph(vs, [e for e, keep in zip(pairs, picks) if keep])
+        assert minor_min_width(g) <= brute_treewidth(g)
 
 
 class TestExactTreewidth:
