@@ -200,7 +200,7 @@ class HostTree:
     def __init__(self, g: Graph, t: Graph):
         if (t.vertex_set != g.vertex_set or not t.edges <= g.edges
                 or len(t.edges) != len(t) - 1):
-            raise ValueError("t is not a spanning tree of g")
+            raise ValueError("host is not a spanning tree of g")
         vertices = sorted(t.vertices)
         index = {v: i for i, v in enumerate(vertices)}
         parent = [-1] * len(vertices)
@@ -216,7 +216,7 @@ class HostTree:
                     order.append(y)
         # n-1 edges and connected: a tree
         if len(order) != len(vertices):
-            raise ValueError("t is not a spanning tree of g")
+            raise ValueError("host is not a spanning tree of g")
         self.graph = g
         self.tree = t
         self.vertices = vertices

@@ -58,9 +58,9 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[Graph]:
     m = len(edges)
     parent = list(range(n))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
+    def find(p: List[int], x: int) -> int:
+        while p[x] != x:
+            x = p[x]
         return x
 
     def connectable(start: int, merges_left: int) -> bool:
@@ -69,14 +69,8 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[Graph]:
         if m - start < merges_left:
             return False
         p2 = parent.copy()
-
-        def find2(x):
-            while p2[x] != x:
-                x = p2[x]
-            return x
-
         for j in range(start, m):
-            ra, rb = find2(pairs[j][0]), find2(pairs[j][1])
+            ra, rb = find(p2, pairs[j][0]), find(p2, pairs[j][1])
             if ra != rb:
                 p2[ra] = rb
                 merges_left -= 1
@@ -93,7 +87,7 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[Graph]:
         if i == m:
             return
         a, b = pairs[i]
-        ra, rb = find(a), find(b)
+        ra, rb = find(parent, a), find(parent, b)
         if ra == rb:
             yield from rec(i + 1)
             return
@@ -228,13 +222,6 @@ def minor_min_width(g: Graph) -> int:
     return best
 
 
-def _host_tree(g: Graph, host: Graph) -> HostTree:
-    try:
-        return HostTree(g, host)
-    except ValueError:
-        raise ValueError("host is not a spanning tree of g") from None
-
-
 def min_width_on_tree(g: Graph, host: Graph, budget: int,
                       anchored: bool = False) -> DeciderResult:
     """Decide whether g has a width-<= budget decomposition on this host.
@@ -248,7 +235,7 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
     node, to one shared node per incident edge), so restricting the search
     loses nothing.
     """
-    return _decide(_host_tree(g, host), budget, anchored, minor_min_width(g))
+    return _decide(HostTree(g, host), budget, anchored, minor_min_width(g))
 
 
 def _decide(tree: HostTree, budget: int, anchored: bool,
@@ -273,72 +260,41 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     epairs = [(index[a], index[b]) for a, b in edge_order]
     m = len(epairs)
 
-    if anchored:
-        sub = [1 << i for i in range(n)]
-        rep = list(range(n))
-        loads = [1] * n
-    else:
-        sub = [0] * n
-        rep = [-1] * n
-        loads = [0] * n
-    le1 = 0  # nodes that can take one more guest
-    le2 = 0  # nodes that can take two more guests
-    for i in range(n):
-        if loads[i] <= cap - 1:
-            le1 |= 1 << i
-        if loads[i] <= cap - 2:
-            le2 |= 1 << i
+    # The host spans g, so g is connected and the search gives a subtree to
+    # every vertex with an edge. An anchored vertex starts in its own node,
+    # and so does the lone vertex of a one-vertex g.
+    own = anchored or n == 1
+    init = 1 if own else 0
+    sub = [1 << i if own else 0 for i in range(n)]
+    rep = list(range(n)) if own else [-1] * n
+    loads = [init] * n
+    full = (1 << n) - 1
+    le1 = full if init < cap else 0      # nodes that can take one more guest
+    le2 = full if init < cap - 1 else 0  # nodes that can take two more guests
+    nodes = 0
 
-    state = {"nodes": 0, "le1": le1, "le2": le2}
-    witness_holder: List[TreeDecomposition] = []
-
-    def bump(i: int, d: int) -> None:
-        loads[i] += d
-        bit = 1 << i
-        if loads[i] > cap - 1:
-            state["le1"] &= ~bit
-        if loads[i] > cap - 2:
-            state["le2"] &= ~bit
-
-    def drop(i: int, d: int) -> None:
-        loads[i] -= d
-        bit = 1 << i
-        if loads[i] <= cap - 1:
-            state["le1"] |= bit
-        if loads[i] <= cap - 2:
-            state["le2"] |= bit
+    def shift(touched: List[Tuple[int, int]], sign: int) -> None:
+        nonlocal le1, le2
+        for y, d in touched:
+            load = loads[y] = loads[y] + sign * d
+            bit = 1 << y
+            le1 = le1 | bit if load < cap else le1 & ~bit
+            le2 = le2 | bit if load < cap - 1 else le2 & ~bit
 
     def future_ok(start: int) -> bool:
-        if state["le2"]:
+        if le2:
             return True
-        le1_now = state["le1"]
         for j in range(start, m):
             a, b = epairs[j]
             sa, sb = sub[a], sub[b]
             if sa & sb:
                 continue
-            if (sa | sb) & le1_now:
+            if (sa | sb) & le1:
                 continue
             return False
         return True
 
-    def finish() -> bool:
-        placed: List[int] = []
-        for i in range(n):
-            if sub[i]:
-                continue
-            cands = [x for x in range(n) if loads[x] < cap]
-            if not cands:
-                for j in placed:
-                    drop(rep[j], 1)
-                    sub[j] = 0
-                    rep[j] = -1
-                return False
-            x = min(cands, key=lambda x: (loads[x], x))
-            sub[i] = 1 << x
-            rep[i] = x
-            bump(x, 1)
-            placed.append(i)
+    def finish() -> TreeDecomposition:
         assignment = {verts[i]: frozenset(verts[j] for j in range(n)
                                           if sub[i] >> j & 1)
                       for i in range(n)}
@@ -347,17 +303,17 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
         assert td.width() <= budget
         if anchored:
             assert _anchored(g, td)
-        witness_holder.append(td)
-        return True
+        return td
 
-    def rec(j: int) -> bool:
+    def rec(j: int) -> Optional[TreeDecomposition]:
+        nonlocal nodes
         while j < m and sub[epairs[j][0]] & sub[epairs[j][1]]:
             j += 1
         if j == m:
             return finish()
         a, b = epairs[j]
         sa, sb = sub[a], sub[b]
-        le1, le2 = state["le1"], state["le2"]
+        ra, rb = rep[a], rep[b]
         # sa and sb are disjoint, so every candidate gains at least one
         # guest: only nodes in le1 can be the shared node
         xs = le1
@@ -365,8 +321,8 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
             bit = xs & -xs
             xs ^= bit
             x = bit.bit_length() - 1
-            ga = 0 if sa & bit else ((path_mask(x, rep[a]) & ~sa) if sa else bit)
-            gb = 0 if sb & bit else ((path_mask(x, rep[b]) & ~sb) if sb else bit)
+            ga = 0 if sa & bit else ((path_mask(x, ra) & ~sa) if sa else bit)
+            gb = 0 if sb & bit else ((path_mask(x, rb) & ~sb) if sb else bit)
             # a node on one new path needs room for one guest, on both for two
             if (ga ^ gb) & ~le1 or ga & gb & ~le2:
                 continue
@@ -377,31 +333,24 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
                 y ^= yb
                 touched.append((yb.bit_length() - 1,
                                 (1 if ga & yb else 0) + (1 if gb & yb else 0)))
-            state["nodes"] += 1
-            old_rep_a, old_rep_b = rep[a], rep[b]
+            nodes += 1
             sub[a] = sa | ga
             sub[b] = sb | gb
-            if rep[a] < 0:
-                rep[a] = x
-            if rep[b] < 0:
-                rep[b] = x
-            for yi, d in touched:
-                bump(yi, d)
-            if future_ok(j + 1) and rec(j + 1):
-                return True
-            for yi, d in touched:
-                drop(yi, d)
+            rep[a] = x if ra < 0 else ra
+            rep[b] = x if rb < 0 else rb
+            shift(touched, 1)
+            if future_ok(j + 1):
+                witness = rec(j + 1)
+                if witness is not None:
+                    return witness
+            shift(touched, -1)
             sub[a], sub[b] = sa, sb
-            rep[a], rep[b] = old_rep_a, old_rep_b
-        return False
+            rep[a], rep[b] = ra, rb
+        return None
 
-    sat = rec(0)
-    seconds = time.perf_counter() - t0
-    if sat:
-        return DeciderResult(SAT, witness_holder[0], budget, anchored,
-                             state["nodes"], seconds, SEARCH)
-    return DeciderResult(UNSAT, None, budget, anchored, state["nodes"],
-                         seconds, SEARCH)
+    witness = rec(0)
+    return DeciderResult(UNSAT if witness is None else SAT, witness, budget,
+                         anchored, nodes, time.perf_counter() - t0, SEARCH)
 
 
 # The graph and its bound in a pool worker, set once by the initializer.
@@ -416,7 +365,7 @@ def _init_sweep_worker(g: Graph, bound: int) -> None:
 def _sweep_worker(args) -> DeciderResult:
     tree_edges, budget, anchored = args
     g, bound = _sweep_graph
-    res = _decide(_host_tree(g, Graph(g.vertices, tree_edges)), budget,
+    res = _decide(HostTree(g, Graph(g.vertices, tree_edges)), budget,
                   anchored, bound)
     # witnesses are dropped in sweep mode to keep results light
     return replace(res, witness=None)
@@ -433,7 +382,7 @@ def decide_over_trees(g: Graph, trees: Iterable[Graph], budget: int,
     bound = minor_min_width(g)
     if jobs <= 1 or budget < bound:
         for t in trees:
-            yield _decide(_host_tree(g, t), budget, anchored, bound)
+            yield _decide(HostTree(g, t), budget, anchored, bound)
         return
     tasks = ((sorted(t.edges), budget, anchored) for t in trees)
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_sweep_worker,
@@ -445,41 +394,29 @@ def min_anchored_spanning_width(g: Graph, cap_vertices: int = 12
                                 ) -> Tuple[int, Graph, TreeDecomposition]:
     """Minimum anchored width over every spanning tree of g, with a witness.
 
-    Exhaustive over spanning trees, so guarded by a vertex cap. The budget
-    climb starts at minor_min_width(g), and enumeration stops once a tree
-    attains it, since no tree can do better.
+    Exhaustive over spanning trees, so guarded by a vertex cap. Width
+    len(g) - 1 fits on every host (every bag holds every vertex), so each
+    tree descends from one below the best width so far while it stays SAT.
+    Enumeration stops once a tree attains minor_min_width(g), since no tree
+    can do better.
     """
     if not is_connected(g):
         raise ValueError("need a connected graph")
     if len(g) > cap_vertices:
         raise CapExceeded(len(g), cap_vertices, "min anchored spanning width")
     bound = minor_min_width(g)
-    best: Optional[int] = None
+    best = len(g)
     best_host: Optional[Graph] = None
     best_witness: Optional[TreeDecomposition] = None
     for t in enumerate_spanning_trees(g):
         if best == bound:
             break
         tree = HostTree(g, t)
-        if best is None:
-            b = bound
-            while True:
-                res = _decide(tree, b, True, bound)
-                if res.is_sat:
-                    best, best_host, best_witness = b, t, res.witness
-                    break
-                b += 1
-        else:
+        while best > bound:
             res = _decide(tree, best - 1, True, bound)
             if not res.is_sat:
-                continue
-            b, wit = best - 1, res.witness
-            while b > bound:
-                res = _decide(tree, b - 1, True, bound)
-                if not res.is_sat:
-                    break
-                b, wit = b - 1, res.witness
-            best, best_host, best_witness = b, t, wit
+                break
+            best, best_host, best_witness = best - 1, t, res.witness
     return best, best_host, best_witness
 
 

@@ -600,6 +600,15 @@ class TestPinnedOutputs:
             "--budget", "2"]) == \
             "b80ee872a755dfdd52b6ccd8e91650ef465f2e32d7690b4479c7c26be629fc42"
 
+    def test_min_anchored_digest(self, tmp_path, capsys):
+        """Width, host and witness of the minimum anchored width over the
+        96 spanning trees of level 3."""
+        from tdforge.constructions import reflected_tree
+        write_graph(reflected_tree(3).graph, "g.json")
+        assert self.digest(tmp_path, [
+            "search", "min-anchored", "--graph", "g.json"]) == \
+            "e6fe729362edbf144bbae18199f340a70eeef24cd1d69ace67de55920d22d3d7"
+
     def test_gadget_and_export_digests(self, tmp_path, capsys):
         """A toy gadget instance (graph and sidecar), whose trees come from
         complete_ary_tree, and the DOT export of its instance and graph."""

@@ -36,7 +36,8 @@ from tdforge.search import (
     sample_spanning_trees,
 )
 from generators import oracle_corpus, random_connected_graph, random_tree
-from oracles import brute_count_spanning_trees, brute_treewidth, naive_threshold
+from oracles import (brute_count_spanning_trees, brute_treewidth, naive_decide,
+                     naive_threshold)
 
 
 class TestEnumerateSpanningTrees:
@@ -121,10 +122,15 @@ class TestSampleSpanningTree:
 
 class TestDecider:
     def test_single_vertex(self):
+        """The lone vertex has no edge to give it a subtree, so it starts
+        in its own bag in either mode, and nothing is searched."""
         g = Graph(["x"], [])
-        res = min_width_on_tree(g, g, 0, anchored=True)
-        assert res.is_sat and res.status == SAT
-        assert res.witness.width() == 0
+        for anchored in (False, True):
+            for budget in (0, 1):
+                res = min_width_on_tree(g, g, budget, anchored=anchored)
+                assert (res.status, res.nodes, res.source) == (SAT, 0, SEARCH)
+                assert res.witness.bags == {"x": frozenset({"x"})}
+                assert res.witness.width() == 0
 
     def test_single_edge_threshold(self):
         g = path_graph(2)
@@ -253,6 +259,24 @@ class TestMinAnchoredSpanningWidth:
         assert wit.host == host
         assert validate(g, wit) and is_anchored(g, wit)
         assert wit.width() == best
+
+    def test_agrees_with_naive_oracle_over_every_tree(self):
+        """A second route: the least naive_threshold over every spanning
+        tree, on seeded corpus graphs of 4 to 6 vertices. Since SAT at a
+        budget implies SAT above it, that least threshold is best exactly
+        when some tree is SAT at best and none is at best - 1."""
+        rng = random.Random(31)
+        graphs = oracle_corpus()
+        small = [g for g in graphs if 4 <= len(g) <= 5 and g.edges]
+        six = [g for g in graphs if len(g) == 6]
+        for g in rng.sample(small, 25) + rng.sample(six, 10):
+            best, host, wit = min_anchored_spanning_width(g)
+            trees = list(enumerate_spanning_trees(g))
+            assert any(naive_decide(g, t, best, True) for t in trees)
+            assert not any(naive_decide(g, t, best - 1, True) for t in trees)
+            assert is_spanning_tree(g, host) and wit.host == host
+            assert validate(g, wit) and is_anchored(g, wit)
+            assert wit.width() == best
 
     def test_level3_needs_width_three(self):
         best, _, wit = min_anchored_spanning_width(reflected_tree(3).graph)
