@@ -189,13 +189,13 @@ class HostTree:
 
     Construction checks that t is a spanning tree of g, numbers its vertices
     in sorted order (vertices, index) and roots it at index 0, recording
-    each index's parent and depth in one traversal. Path, path-mask and
-    cycle queries then climb from both ends to the common ancestor, in time
-    linear in the answer's length, without re-checking the tree.
+    each index's parent and depth in one traversal. Path and cycle queries
+    then climb from both ends to the common ancestor, in time linear in the
+    answer's length, without re-checking the tree; path_row gives the paths
+    from every index to one index as bitmasks, in one traversal.
     """
 
-    __slots__ = ("graph", "tree", "vertices", "index", "_parent", "_depth",
-                 "_masks")
+    __slots__ = ("graph", "tree", "vertices", "index", "_parent", "_depth")
 
     def __init__(self, g: Graph, t: Graph):
         if (t.vertex_set != g.vertex_set or not t.edges <= g.edges
@@ -223,7 +223,6 @@ class HostTree:
         self.index = index
         self._parent = parent
         self._depth = depth
-        self._masks: Dict[Tuple[int, int], int] = {}
 
     def _climb(self, i: int, j: int) -> List[int]:
         """Indices of the tree path from index i to index j, in order."""
@@ -252,17 +251,21 @@ class HostTree:
         vertices = self.vertices
         return [vertices[x] for x in self._climb(index[a], index[b])]
 
-    def path_mask(self, i: int, j: int) -> int:
-        """The tree path between indices i and j as a bitmask over indices
-        (bit x set iff vertices[x] is on it); cached per unordered pair."""
-        key = (i, j) if i < j else (j, i)
-        mask = self._masks.get(key)
-        if mask is None:
-            mask = 0
-            for x in self._climb(i, j):
-                mask |= 1 << x
-            self._masks[key] = mask
-        return mask
+    def path_row(self, j: int) -> List[int]:
+        """The tree paths from every index to index j as bitmasks over
+        indices: bit y of row[x] is set iff vertices[y] is on the path from
+        vertices[x] to vertices[j]."""
+        vertices, index, tree = self.vertices, self.index, self.tree
+        row = [0] * len(vertices)
+        row[j] = 1 << j
+        order = [j]
+        for x in order:
+            for w in tree.neighbors(vertices[x]):
+                y = index[w]
+                if not row[y]:
+                    row[y] = row[x] | 1 << y
+                    order.append(y)
+        return row
 
     def cycle(self, e) -> Cycle:
         """The unique cycle closed by the non-tree edge e of g."""

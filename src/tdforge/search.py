@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .decomposition import TreeDecomposition, _anchored, from_subtrees, validate
 from .errors import CapExceeded
-from .graphs import (Graph, HostTree, Vertex, component_in, is_connected,
-                     path_graph, tree_diameter)
+from .graphs import (Edge, Graph, HostTree, Vertex, component_in,
+                     is_connected, path_graph, tree_diameter)
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -233,9 +235,32 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
     nodes. Any satisfying assignment can be shrunk to that form (replace
     each subtree by the union of host paths from the vertex, or its first
     node, to one shared node per incident edge), so restricting the search
-    loses nothing.
+    loses nothing. The shared-node candidates of an edge, tried in index
+    order, are the nodes with room for one more guest that both endpoint
+    subtrees reach through such nodes (an empty subtree reaches them all);
+    any other node would put a guest on a full node of one of the two new
+    paths, so only candidates that must fail are skipped. A node on both
+    new paths must also have room for a second guest.
     """
     return _decide(HostTree(g, host), budget, anchored, minor_min_width(g))
+
+
+def _reach(adj: List[int], s: int, room: int) -> int:
+    """The host nodes in s or joined to it through room, as a bitmask over
+    indices; adj[x] is the bitmask of x's tree neighbours and s a non-empty
+    subtree. A node outside s is in the answer iff every node of its tree
+    path to s, s excluded, is in room: the flood leaves s and steps only
+    onto room nodes, and a tree has one path from a node to a subtree."""
+    reach = frontier = s
+    while frontier:
+        grown = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            grown |= adj[bit.bit_length() - 1]
+        frontier = grown & room & ~reach
+        reach |= frontier
+    return reach
 
 
 def _decide(tree: HostTree, budget: int, anchored: bool,
@@ -252,13 +277,25 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     verts = tree.vertices
     n = len(verts)
     index = tree.index
-    path_mask = tree.path_mask
     cap = budget + 1
 
     deg = {v: g.degree(v) for v in verts}
     edge_order = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
     epairs = [(index[a], index[b]) for a, b in edge_order]
     m = len(epairs)
+    adj = [0] * n
+    for u, v in host.edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    # rows[r]: the host paths to node r, built the first time r is a root
+    rows: List[Optional[List[int]]] = [None] * n
+
+    def row_of(s: int) -> List[int]:
+        r = (s & -s).bit_length() - 1
+        row = rows[r]
+        if row is None:
+            row = rows[r] = tree.path_row(r)
+        return row
 
     # The host spans g, so g is connected and the search gives a subtree to
     # every vertex with an edge. An anchored vertex starts in its own node,
@@ -266,7 +303,6 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     own = anchored or n == 1
     init = 1 if own else 0
     sub = [1 << i if own else 0 for i in range(n)]
-    rep = list(range(n)) if own else [-1] * n
     loads = [init] * n
     full = (1 << n) - 1
     le1 = full if init < cap else 0      # nodes that can take one more guest
@@ -313,18 +349,25 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
             return finish()
         a, b = epairs[j]
         sa, sb = sub[a], sub[b]
-        ra, rb = rep[a], rep[b]
-        # sa and sb are disjoint, so every candidate gains at least one
-        # guest: only nodes in le1 can be the shared node
+        # sa and sb are disjoint, so the shared node gains at least one
+        # guest, and so does every other node on a new path: only nodes in
+        # le1 that both subtrees reach through le1 can be the shared node
+        # (an empty subtree grows to the shared node alone)
         xs = le1
+        if sa:
+            xs &= _reach(adj, sa, le1)
+            row_a = row_of(sa)
+        if sb:
+            xs &= _reach(adj, sb, le1)
+            row_b = row_of(sb)
         while xs:
             bit = xs & -xs
             xs ^= bit
             x = bit.bit_length() - 1
-            ga = 0 if sa & bit else ((path_mask(x, ra) & ~sa) if sa else bit)
-            gb = 0 if sb & bit else ((path_mask(x, rb) & ~sb) if sb else bit)
-            # a node on one new path needs room for one guest, on both for two
-            if (ga ^ gb) & ~le1 or ga & gb & ~le2:
+            ga = 0 if sa & bit else ((row_a[x] & ~sa) if sa else bit)
+            gb = 0 if sb & bit else ((row_b[x] & ~sb) if sb else bit)
+            # a node on both new paths needs room for two guests
+            if ga & gb & ~le2:
                 continue
             touched: List[Tuple[int, int]] = []
             y = ga | gb
@@ -336,8 +379,6 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
             nodes += 1
             sub[a] = sa | ga
             sub[b] = sb | gb
-            rep[a] = x if ra < 0 else ra
-            rep[b] = x if rb < 0 else rb
             shift(touched, 1)
             if future_ok(j + 1):
                 witness = rec(j + 1)
@@ -345,7 +386,6 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
                     return witness
             shift(touched, -1)
             sub[a], sub[b] = sa, sb
-            rep[a], rep[b] = ra, rb
         return None
 
     witness = rec(0)
@@ -353,41 +393,61 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
                          anchored, nodes, time.perf_counter() - t0, SEARCH)
 
 
-# The graph and its bound in a pool worker, set once by the initializer.
-_sweep_graph: Optional[Tuple[Graph, int]] = None
+# A pooled sweep sends trees to its workers in chunks and keeps at most
+# this many chunks per worker in flight, so it pulls trees only that far
+# ahead of the results it has yielded.
+_SWEEP_CHUNK = 16
+_CHUNKS_PER_WORKER = 2
+
+# The sweep's graph, bound, budget and mode in a pool worker, set once by
+# the initializer.
+_sweep: Optional[Tuple[Graph, int, int, bool]] = None
 
 
-def _init_sweep_worker(g: Graph, bound: int) -> None:
-    global _sweep_graph
-    _sweep_graph = (g, bound)
+def _init_sweep_worker(g: Graph, bound: int, budget: int,
+                       anchored: bool) -> None:
+    global _sweep
+    _sweep = (g, bound, budget, anchored)
 
 
-def _sweep_worker(args) -> DeciderResult:
-    tree_edges, budget, anchored = args
-    g, bound = _sweep_graph
-    res = _decide(HostTree(g, Graph(g.vertices, tree_edges)), budget,
-                  anchored, bound)
+def _sweep_chunk(chunk: List[List[Edge]]) -> List[DeciderResult]:
+    g, bound, budget, anchored = _sweep
     # witnesses are dropped in sweep mode to keep results light
-    return replace(res, witness=None)
+    return [replace(_decide(HostTree(g, Graph(g.vertices, tree_edges)),
+                            budget, anchored, bound), witness=None)
+            for tree_edges in chunk]
 
 
 def decide_over_trees(g: Graph, trees: Iterable[Graph], budget: int,
                       anchored: bool, jobs: int = 1) -> Iterator[DeciderResult]:
-    """Run the decider over many host trees of g, optionally in a process
-    pool that receives g once per worker.
+    """Run the decider over many host trees of g, in order, optionally in a
+    process pool that receives g once per worker.
 
     minor_min_width(g) is computed once per sweep. Below it every host is
-    still checked, but nothing is searched and no pool is started.
+    still checked, but nothing is searched and no pool is started. A pooled
+    sweep pulls trees lazily, a bounded window ahead of its results, and
+    cancels the chunks still queued when the caller stops early.
     """
     bound = minor_min_width(g)
     if jobs <= 1 or budget < bound:
         for t in trees:
             yield _decide(HostTree(g, t), budget, anchored, bound)
         return
-    tasks = ((sorted(t.edges), budget, anchored) for t in trees)
+    edge_lists = (sorted(t.edges) for t in trees)
+    chunks = iter(lambda: list(islice(edge_lists, _SWEEP_CHUNK)), [])
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_sweep_worker,
-                             initargs=(g, bound)) as pool:
-        yield from pool.map(_sweep_worker, tasks, chunksize=16)
+                             initargs=(g, bound, budget, anchored)) as pool:
+        window = deque(pool.submit(_sweep_chunk, c)
+                       for c in islice(chunks, _CHUNKS_PER_WORKER * jobs))
+        try:
+            while window:
+                yield from window.popleft().result()
+                chunk = next(chunks, None)
+                if chunk is not None:
+                    window.append(pool.submit(_sweep_chunk, chunk))
+        finally:
+            for future in window:
+                future.cancel()
 
 
 def min_anchored_spanning_width(g: Graph, cap_vertices: int = 12

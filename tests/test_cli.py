@@ -600,6 +600,20 @@ class TestPinnedOutputs:
             "--budget", "2"]) == \
             "b80ee872a755dfdd52b6ccd8e91650ef465f2e32d7690b4479c7c26be629fc42"
 
+    def test_deep_unsat_decide_digest(self, tmp_path, capsys):
+        """Status and node count of an anchored budget-2 UNSAT proof on a
+        sampled level-4 host (about 4,100 search nodes), which freezes the
+        size of a deep search tree."""
+        from tdforge.constructions import reflected_tree
+        from tdforge.search import sample_spanning_trees
+        g = reflected_tree(4).graph
+        write_graph(g, "g.json")
+        write_graph(next(sample_spanning_trees(g, 1, seed=43)), "host.json")
+        assert self.digest(tmp_path, [
+            "search", "decide", "--graph", "g.json", "--host", "host.json",
+            "--budget", "2", "--anchored"]) == \
+            "989de09c4e8e71ee42ef4cded2fc4a53f5fc6428077b1271af90e5129f82a063"
+
     def test_min_anchored_digest(self, tmp_path, capsys):
         """Width, host and witness of the minimum anchored width over the
         96 spanning trees of level 3."""

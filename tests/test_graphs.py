@@ -162,7 +162,7 @@ class TestHostTree:
            st.sampled_from(["spanning tree", "n-1 edges", "any edges"]))
     def test_agrees_with_predicate_and_bfs(self, n, seed, subset):
         """HostTree(g, t) is refused exactly when t is not a spanning tree
-        of g; otherwise its paths, path masks and cycles are the plain BFS
+        of g; otherwise its paths, path rows and cycles are the plain BFS
         ones."""
         rng = random.Random(seed)
         vs = [f"v{i}" for i in range(n)]
@@ -181,12 +181,12 @@ class TestHostTree:
             return
         host = HostTree(g, t)
         assert host.vertices == sorted(vs)
-        for a in vs:
-            for b in vs:
+        for b in vs:
+            row = host.path_row(host.index[b])
+            for a in vs:
                 p = bfs_path(t, a, b)
                 assert host.path(a, b) == p
-                bits = host.path_mask(host.index[a], host.index[b])
-                assert bits == sum(1 << host.index[x] for x in p)
+                assert row[host.index[a]] == sum(1 << host.index[x] for x in p)
         for e in edges:
             if e in t.edges:
                 continue

@@ -36,8 +36,8 @@ from tdforge.search import (
     sample_spanning_trees,
 )
 from generators import oracle_corpus, random_connected_graph, random_tree
-from oracles import (brute_count_spanning_trees, brute_treewidth, naive_decide,
-                     naive_threshold)
+from oracles import (bfs_path, brute_count_spanning_trees, brute_treewidth,
+                     naive_decide, naive_threshold)
 
 
 class TestEnumerateSpanningTrees:
@@ -216,7 +216,66 @@ class TestDecider:
                 assert got == want
 
 
+class TestCandidateFlood:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=2 ** 31))
+    def test_reach_and_growth_follow_the_path_to_the_subtree(self, n, seed):
+        """On a random tree, subtree s and room mask: x is reached iff every
+        node of its path to the nearest node of s, s excluded, has room, and
+        its growth (the path row of any root in s, minus s) is that path
+        minus s."""
+        rng = random.Random(seed)
+        ids = [f"t{i:02d}" for i in range(n)]
+        rng.shuffle(ids)
+        t = random_tree(rng, ids)
+        host = HostTree(t, t)
+        bit = {v: 1 << host.index[v] for v in ids}
+        s = {rng.choice(ids)}
+        for _ in range(rng.randrange(n)):
+            s.add(rng.choice([w for v in sorted(s) for w in t.neighbors(v)]
+                             or sorted(s)))
+        room = {v for v in ids if rng.random() < 0.6}
+        adj = [0] * n
+        for u, v in t.edges:
+            adj[host.index[u]] |= bit[v]
+            adj[host.index[v]] |= bit[u]
+        s_mask = sum(bit[v] for v in s)
+        reach = search._reach(adj, s_mask, sum(bit[v] for v in room))
+        row = host.path_row(host.index[rng.choice(sorted(s))])
+        for x in ids:
+            path = min((bfs_path(t, x, y) for y in s), key=len)
+            outside = [v for v in path if v not in s]
+            assert bool(reach & bit[x]) == (set(outside) <= room)
+            assert row[host.index[x]] & ~s_mask == sum(bit[v] for v in outside)
+
+
 class TestDecideOverTrees:
+    def test_pooled_sweep_pulls_a_bounded_window(self):
+        """A pooled sweep at a budget it searches pulls trees at most a
+        window of chunks ahead of the results it has yielded, and none
+        after the caller stops."""
+        g = complete_graph(4)  # minor-min-width 3
+        trees = list(enumerate_spanning_trees(g))
+        pulled = 0
+
+        def stream():
+            nonlocal pulled
+            for t in itertools.islice(itertools.cycle(trees), 400):
+                pulled += 1
+                yield t
+
+        window = search._SWEEP_CHUNK * search._CHUNKS_PER_WORKER * 2
+        sweep = decide_over_trees(g, stream(), 3, anchored=True, jobs=2)
+        for yielded, res in enumerate(sweep, 1):
+            assert res.is_sat
+            assert pulled <= yielded + window
+            if yielded == 100:
+                break
+        stopped_at = pulled
+        sweep.close()
+        assert pulled == stopped_at
+
     def test_parallel_matches_serial(self, monkeypatch):
         g = complete_graph(4)  # minor-min-width 3
         trees = list(enumerate_spanning_trees(g))
