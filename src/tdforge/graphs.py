@@ -191,8 +191,9 @@ class HostTree:
     in sorted order (vertices, index) and roots it at index 0, recording
     each index's parent and depth in one traversal. Path and cycle queries
     then climb from both ends to the common ancestor, in time linear in the
-    answer's length, without re-checking the tree; path_row gives the paths
-    from every index to one index as bitmasks, in one traversal.
+    answer's length, without re-checking the tree. path_row gives the paths
+    from every index to one index, and adjacency the tree's neighbourhoods,
+    as bitmasks over the same index.
     """
 
     __slots__ = ("graph", "tree", "vertices", "index", "_parent", "_depth")
@@ -266,6 +267,16 @@ class HostTree:
                     row[y] = row[x] | 1 << y
                     order.append(y)
         return row
+
+    def adjacency(self) -> List[int]:
+        """The tree's neighbourhoods as bitmasks over indices: bit y of
+        adj[x] is set iff vertices[x] and vertices[y] are tree-adjacent."""
+        index = self.index
+        adj = [0] * len(self.vertices)
+        for u, v in self.tree.edges:
+            adj[index[u]] |= 1 << index[v]
+            adj[index[v]] |= 1 << index[u]
+        return adj
 
     def cycle(self, e) -> Cycle:
         """The unique cycle closed by the non-tree edge e of g."""

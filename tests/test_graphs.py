@@ -163,7 +163,7 @@ class TestHostTree:
     def test_agrees_with_predicate_and_bfs(self, n, seed, subset):
         """HostTree(g, t) is refused exactly when t is not a spanning tree
         of g; otherwise its paths, path rows and cycles are the plain BFS
-        ones."""
+        ones and its adjacency masks are the tree's neighbourhoods."""
         rng = random.Random(seed)
         vs = [f"v{i}" for i in range(n)]
         g = Graph(vs, [e for e in itertools.combinations(vs, 2)
@@ -181,6 +181,8 @@ class TestHostTree:
             return
         host = HostTree(g, t)
         assert host.vertices == sorted(vs)
+        assert host.adjacency() == [
+            sum(1 << host.index[w] for w in t.neighbors(a)) for a in sorted(vs)]
         for b in vs:
             row = host.path_row(host.index[b])
             for a in vs:

@@ -236,12 +236,9 @@ class TestCandidateFlood:
             s.add(rng.choice([w for v in sorted(s) for w in t.neighbors(v)]
                              or sorted(s)))
         room = {v for v in ids if rng.random() < 0.6}
-        adj = [0] * n
-        for u, v in t.edges:
-            adj[host.index[u]] |= bit[v]
-            adj[host.index[v]] |= bit[u]
         s_mask = sum(bit[v] for v in s)
-        reach = search._reach(adj, s_mask, sum(bit[v] for v in room))
+        reach = search._reach(host.adjacency(), s_mask,
+                              sum(bit[v] for v in room))
         row = host.path_row(host.index[rng.choice(sorted(s))])
         for x in ids:
             path = min((bfs_path(t, x, y) for y in s), key=len)
