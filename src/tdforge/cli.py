@@ -296,7 +296,9 @@ def cmd_search(run: Run, args) -> int:
         g = _load_graph(run, args.graph)
         host = _load_graph(run, args.host)
         res = min_width_on_tree(g, host, args.budget, anchored=args.anchored)
-        run.decider = {"source": res.source, "nodes": res.nodes}
+        run.decider = {"source": res.source, "nodes": res.nodes,
+                       "pruned": {"no_room": res.pruned_no_room,
+                                  "path": res.pruned_path}}
         out = {"status": res.status, "budget": res.budget,
                "anchored": res.anchored, "nodes": res.nodes}
         if res.witness is not None:

@@ -35,6 +35,9 @@ class DeciderResult:
     nodes: int
     seconds: float
     source: str  # BOUND or SEARCH: where the answer came from
+    # branches the look-ahead cut, by rule (see min_width_on_tree)
+    pruned_no_room: int
+    pruned_path: int
 
     @property
     def is_sat(self) -> bool:
@@ -241,6 +244,24 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
     any other node would put a guest on a full node of one of the two new
     paths, so only candidates that must fail are skipped. A node on both
     new paths must also have room for a second guest.
+
+    After each placement, and once before the first, a look-ahead scans the
+    edges still pending (endpoint subtrees disjoint) and cuts the branch by
+    either of two rules; the result counts the cuts of each.
+    - No room (pruned_no_room): no node has room for two more guests, and
+      neither endpoint subtree has a node with room for one. The subtrees
+      must meet, so some node gains a guest: a node outside both would
+      gain two, a node inside one would gain the other.
+    - Path (pruned_path): both subtrees are non-empty and a host node
+      strictly between them is full. The interior is read from the path
+      row of either subtree at any node of the other, minus both: a tree
+      path leaves one subtree once and enters the other once.
+    Both are sound. Along a branch subtrees only grow and loads only rise.
+    The final subtrees of a and b are connected and meet, so their union
+    contains the whole host path between the current ones; an interior
+    node is in neither yet, so it must take a or b as a new guest, which a
+    full node cannot. A cut therefore removes only branches with no
+    solution, and the search order is unchanged.
     """
     return _decide(HostTree(g, host), budget, anchored, minor_min_width(g))
 
@@ -272,7 +293,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     t0 = time.perf_counter()
     if budget < bound:
         return DeciderResult(UNSAT, None, budget, anchored, 0,
-                             time.perf_counter() - t0, BOUND)
+                             time.perf_counter() - t0, BOUND, 0, 0)
     g, host = tree.graph, tree.tree
     verts = tree.vertices
     n = len(verts)
@@ -307,7 +328,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     full = (1 << n) - 1
     le1 = full if init < cap else 0      # nodes that can take one more guest
     le2 = full if init < cap - 1 else 0  # nodes that can take two more guests
-    nodes = 0
+    nodes = pruned_no_room = pruned_path = 0
 
     def shift(touched: List[Tuple[int, int]], sign: int) -> None:
         nonlocal le1, le2
@@ -318,16 +339,22 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
             le2 = le2 | bit if load < cap - 1 else le2 & ~bit
 
     def future_ok(start: int) -> bool:
-        if le2:
+        nonlocal pruned_no_room, pruned_path
+        fulls = full & ~le1
+        if le2 and not fulls:  # neither rule can fire
             return True
         for j in range(start, m):
             a, b = epairs[j]
             sa, sb = sub[a], sub[b]
             if sa & sb:
                 continue
-            if (sa | sb) & le1:
-                continue
-            return False
+            if not (le2 or (sa | sb) & le1):
+                pruned_no_room += 1
+                return False
+            if (sa and sb and row_of(sa)[(sb & -sb).bit_length() - 1]
+                    & fulls & ~(sa | sb)):
+                pruned_path += 1
+                return False
         return True
 
     def finish() -> TreeDecomposition:
@@ -388,9 +415,10 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
             sub[a], sub[b] = sa, sb
         return None
 
-    witness = rec(0)
+    witness = rec(0) if future_ok(0) else None
     return DeciderResult(UNSAT if witness is None else SAT, witness, budget,
-                         anchored, nodes, time.perf_counter() - t0, SEARCH)
+                         anchored, nodes, time.perf_counter() - t0, SEARCH,
+                         pruned_no_room, pruned_path)
 
 
 # A pooled sweep sends trees to its workers in chunks and keeps at most

@@ -291,7 +291,8 @@ class TestSearchCommands:
         assert low == {"status": "UNSAT", "budget": 1, "anchored": True,
                        "nodes": 0}  # the 4-cycle's minor-min-width is 2
         manifest = load_json("tdforge.manifest.json")
-        assert manifest["decider"] == {"source": "bound", "nodes": 0}
+        assert manifest["decider"] == {"source": "bound", "nodes": 0,
+                                       "pruned": {"no_room": 0, "path": 0}}
         assert main(["search", "decide", "--graph", "g.json", "--host",
                      "host.json", "--budget", "2", "--anchored"]) == 0
         high = json.loads(capsys.readouterr().out)
@@ -299,7 +300,8 @@ class TestSearchCommands:
         assert io.td_from_obj(high["witness"]).width() <= 2
         manifest = load_json("tdforge.manifest.json")
         assert manifest["decider"] == {"source": "search",
-                                       "nodes": high["nodes"]}
+                                       "nodes": high["nodes"],
+                                       "pruned": {"no_room": 0, "path": 0}}
 
     def test_min_anchored(self, capsys):
         write_graph(cycle_graph(4), "g.json")
@@ -573,6 +575,17 @@ class TestPinnedOutputs:
     def sha256(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
+    @classmethod
+    def decide_digest(cls, tmp_path, argv):
+        """A decide output's digest without its node count (re-serialised
+        as the CLI writes it, the other keys in their order), and the node
+        count: pruning may only lower the count and must keep the rest."""
+        cls.digest(tmp_path, argv)
+        out = json.loads((tmp_path / "out.json").read_text())
+        nodes = out.pop("nodes")
+        text = json.dumps(out, indent=2) + "\n"
+        return hashlib.sha256(text.encode()).hexdigest(), nodes
+
     def test_anchored_decide_digest(self, tmp_path, capsys):
         """Status, node count and witness of the anchored decider at
         budget 3 on the first enumerated spanning tree of level 3."""
@@ -581,10 +594,11 @@ class TestPinnedOutputs:
         g = reflected_tree(3).graph
         write_graph(g, "g.json")
         write_graph(next(enumerate_spanning_trees(g)), "host.json")
-        assert self.digest(tmp_path, [
+        assert self.decide_digest(tmp_path, [
             "search", "decide", "--graph", "g.json", "--host", "host.json",
-            "--budget", "3", "--anchored"]) == \
-            "762905ae6373312aa3c7691582f6ff188f1c297893423db8c0391e71e04d77a5"
+            "--budget", "3", "--anchored"]) == (
+            "3ac1dc8fb46003669c0c02331bbb147e298751d3bd92abcc6a3af7ec7393bf7a",
+            15)  # 13,639 nodes before the path look-ahead
 
     def test_unanchored_decide_digest(self, tmp_path, capsys):
         """Status, node count and witness of the unanchored decider at
@@ -595,24 +609,26 @@ class TestPinnedOutputs:
         g = reflected_tree(3).graph
         write_graph(g, "g.json")
         write_graph(next(enumerate_spanning_trees(g)), "host.json")
-        assert self.digest(tmp_path, [
+        assert self.decide_digest(tmp_path, [
             "search", "decide", "--graph", "g.json", "--host", "host.json",
-            "--budget", "2"]) == \
-            "b80ee872a755dfdd52b6ccd8e91650ef465f2e32d7690b4479c7c26be629fc42"
+            "--budget", "2"]) == (
+            "a87a6c04a42451205ad15fc28ced9340397cd92d27275f251b40309edba60383",
+            80)  # 643 nodes before the path look-ahead
 
     def test_deep_unsat_decide_digest(self, tmp_path, capsys):
         """Status and node count of an anchored budget-2 UNSAT proof on a
-        sampled level-4 host (about 4,100 search nodes), which freezes the
-        size of a deep search tree."""
+        sampled level-4 host, which freezes the size of a deep search
+        tree."""
         from tdforge.constructions import reflected_tree
         from tdforge.search import sample_spanning_trees
         g = reflected_tree(4).graph
         write_graph(g, "g.json")
         write_graph(next(sample_spanning_trees(g, 1, seed=43)), "host.json")
-        assert self.digest(tmp_path, [
+        assert self.decide_digest(tmp_path, [
             "search", "decide", "--graph", "g.json", "--host", "host.json",
-            "--budget", "2", "--anchored"]) == \
-            "989de09c4e8e71ee42ef4cded2fc4a53f5fc6428077b1271af90e5129f82a063"
+            "--budget", "2", "--anchored"]) == (
+            "dbb452efc33057799d44b0fb6682be87750549f8057423af9864f9bc8c47129b",
+            70)  # 4,096 nodes before the path look-ahead
 
     def test_min_anchored_digest(self, tmp_path, capsys):
         """Width, host and witness of the minimum anchored width over the

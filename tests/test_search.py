@@ -176,8 +176,10 @@ class TestDecider:
         """The search itself, with no bound (bound 0), against the oracle at
         budgets 0..3 on a seeded slice of the oracle corpus: K4 and K5, whose
         UNSAT answers the bound would otherwise settle, and 20 more graphs,
-        on up to two seeded hosts each."""
+        on up to two seeded hosts each. The path look-ahead cuts branches
+        on this slice, so the oracle checks it too."""
         graphs = oracle_corpus()
+        path_cuts = 0
         rng = random.Random(17)
         complete = [next(g for g in graphs if len(g) == n and
                          len(g.edges) == n * (n - 1) // 2) for n in (4, 5)]
@@ -187,10 +189,16 @@ class TestDecider:
                 tree = HostTree(g, host)
                 for anchored in (False, True):
                     want = naive_threshold(g, host, 3, anchored)
-                    got = next((b for b in range(4) if search._decide(
-                        tree, b, anchored, 0).is_sat), 4)
+                    got = 4
+                    for b in range(4):
+                        res = search._decide(tree, b, anchored, 0)
+                        path_cuts += res.pruned_path
+                        if res.is_sat:
+                            got = b
+                            break
                     assert got == want
                     assert minor_min_width(g) <= want
+        assert path_cuts > 0
 
     def test_tree_hosts_itself_at_width_one(self):
         rng = random.Random(11)
@@ -224,7 +232,9 @@ class TestCandidateFlood:
         """On a random tree, subtree s and room mask: x is reached iff every
         node of its path to the nearest node of s, s excluded, has room, and
         its growth (the path row of any root in s, minus s) is that path
-        minus s."""
+        minus s. For a second subtree disjoint from s, that row at any of
+        its nodes, minus both subtrees, is the interior of the path between
+        them, which the path look-ahead tests for full nodes."""
         rng = random.Random(seed)
         ids = [f"t{i:02d}" for i in range(n)]
         rng.shuffle(ids)
@@ -245,6 +255,20 @@ class TestCandidateFlood:
             outside = [v for v in path if v not in s]
             assert bool(reach & bit[x]) == (set(outside) <= room)
             assert row[host.index[x]] & ~s_mask == sum(bit[v] for v in outside)
+        rest = [v for v in ids if v not in s]
+        if rest:
+            s2 = {rng.choice(rest)}
+            for _ in range(rng.randrange(len(rest))):
+                grow = [w for v in sorted(s2) for w in t.neighbors(v)
+                        if w not in s and w not in s2]
+                if grow:
+                    s2.add(rng.choice(grow))
+            both = s_mask | sum(bit[v] for v in s2)
+            between = min((bfs_path(t, x, y) for x in sorted(s)
+                           for y in sorted(s2)), key=len)
+            y = host.index[rng.choice(sorted(s2))]
+            assert row[y] & ~both == sum(bit[v] for v in between
+                                         if not bit[v] & both)
 
 
 class TestDecideOverTrees:
