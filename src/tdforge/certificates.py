@@ -16,7 +16,7 @@ from .constructions import ReflectedTree
 from .decomposition import TreeDecomposition, _anchored, validate
 from .errors import CertificateContradiction, HypothesisViolated, StructureViolation
 from .graphs import (Edge, Graph, HostTree, Matching, Vertex, component_in,
-                     connected_in, path_edges)
+                     path_edges)
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,15 @@ class WidthCertificate:
     cycles: Dict[Edge, FrozenSet[Vertex]]
 
 
-def _collect_matching(rt: ReflectedTree, t: Graph) -> List[Edge]:
+def _collect_matching(rt: ReflectedTree, host: HostTree) -> List[Edge]:
     """The matching edges contributed at rt's level and below.
 
-    t is a spanning tree of the whole reflected tree; only its edges inside
-    rt matter, so the recursion restricts traversals to vertex sets of t
-    rather than building restricted subgraphs.
+    host indexes a spanning tree t of the whole reflected tree; only its
+    edges inside rt matter, so the recursion asks host whether t's
+    restriction to a vertex set is connected rather than building
+    restricted subgraphs.
     """
+    t = host.tree
     if rt.level == 2:
         extra = sorted(rt.graph.edges - t.edges)
         if len(extra) != 1:
@@ -47,8 +49,8 @@ def _collect_matching(rt: ReflectedTree, t: Graph) -> List[Edge]:
         return extra
     left, right = rt.copies
     u, v = rt.roots
-    conn_left = connected_in(t, left.graph.vertex_set | {u, v})
-    conn_right = connected_in(t, right.graph.vertex_set | {u, v})
+    conn_left = host.connects(left.graph.vertex_set | {u, v})
+    conn_right = host.connects(right.graph.vertex_set | {u, v})
     if conn_left == conn_right:
         raise StructureViolation(
             f"level {rt.level}: expected exactly one connected root-augmented "
@@ -75,10 +77,10 @@ def _collect_matching(rt: ReflectedTree, t: Graph) -> List[Edge]:
     crossing = min(candidates)
     # t has no cycle, so its restriction to the copy is a spanning tree of
     # the copy exactly when it is connected
-    if not connected_in(t, connected_copy.graph.vertex_set):
+    if not host.connects(connected_copy.graph.vertex_set):
         raise StructureViolation(
             f"level {rt.level}: connected copy restriction is not a spanning tree")
-    return _collect_matching(connected_copy, t) + [crossing]
+    return _collect_matching(connected_copy, host) + [crossing]
 
 
 def reflected_matching(rt: ReflectedTree, t: Graph) -> WidthCertificate:
@@ -95,7 +97,7 @@ def reflected_matching(rt: ReflectedTree, t: Graph) -> WidthCertificate:
         host = HostTree(rt.graph, t)
     except ValueError:
         raise ValueError("t is not a spanning tree of the reflected tree") from None
-    matching_edges = _collect_matching(rt, t)
+    matching_edges = _collect_matching(rt, host)
     cycles = {e: host.cycle(e) for e in matching_edges}
     u, v = rt.roots
     common = path_edges(host.path(u, v))

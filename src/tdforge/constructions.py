@@ -56,13 +56,22 @@ def reflected_tree_size(r: int) -> int:
     return 4 * (2 ** (r - 1) - 1)
 
 
-def _prefixed(rt: ReflectedTree, prefix: str) -> ReflectedTree:
-    fn = lambda v: prefix + v
-    copies = None
-    if rt.copies is not None:
-        copies = (_prefixed(rt.copies[0], prefix), _prefixed(rt.copies[1], prefix))
-    return ReflectedTree(rt.graph.relabel(fn), rt.level,
-                         tuple(fn(v) for v in rt.roots), copies)
+def _reflected(r: int, prefix: str) -> ReflectedTree:
+    """The level-r reflected tree with every identifier under prefix; each
+    copy is built once, under its final prefix."""
+    u = prefix + "u"
+    if r == 1:
+        return ReflectedTree(Graph([u]), 1, (u,), None)
+    v = prefix + "v"
+    left = _reflected(r - 1, prefix + "L.")
+    right = _reflected(r - 1, prefix + "R.")
+    vertices = [u, v, *left.graph.vertices, *right.graph.vertices]
+    # u takes the first root of each copy, v takes the remaining root; at
+    # level 2 each copy has a single root serving as both.
+    edges = [*left.graph.edges, *right.graph.edges,
+             (u, left.roots[0]), (u, right.roots[0]),
+             (v, left.roots[-1]), (v, right.roots[-1])]
+    return ReflectedTree(Graph(vertices, edges), r, (u, v), (left, right))
 
 
 def reflected_tree(r: int, cap: int = DEFAULT_CAP) -> ReflectedTree:
@@ -75,18 +84,7 @@ def reflected_tree(r: int, cap: int = DEFAULT_CAP) -> ReflectedTree:
     total = reflected_tree_order(r)
     if total > cap:
         raise SizeExceeded(total, cap, f"reflected tree of level {r}")
-    if r == 1:
-        return ReflectedTree(Graph(["u"]), 1, ("u",), None)
-    child = reflected_tree(r - 1, cap)
-    left = _prefixed(child, "L.")
-    right = _prefixed(child, "R.")
-    vertices = ["u", "v"] + list(left.graph.vertices) + list(right.graph.vertices)
-    edges = list(left.graph.edges) + list(right.graph.edges)
-    # u takes the first root of each copy, v takes the remaining root; at
-    # level 2 each copy has a single root serving as both.
-    edges += [("u", left.roots[0]), ("u", right.roots[0]),
-              ("v", left.roots[-1]), ("v", right.roots[-1])]
-    return ReflectedTree(Graph(vertices, edges), r, ("u", "v"), (left, right))
+    return _reflected(r, "")
 
 
 def ary_tree_size(width: int, height: int) -> int:

@@ -193,7 +193,8 @@ class HostTree:
     then climb from both ends to the common ancestor, in time linear in the
     answer's length, without re-checking the tree. path_row gives the paths
     from every index to one index, and adjacency the tree's neighbourhoods,
-    as bitmasks over the same index.
+    as bitmasks over the same index; connects reads from the parent list
+    whether the tree's restriction to a vertex set is connected.
     """
 
     __slots__ = ("graph", "tree", "vertices", "index", "_parent", "_depth")
@@ -277,6 +278,15 @@ class HostTree:
             adj[index[u]] |= 1 << index[v]
             adj[index[v]] |= 1 << index[u]
         return adj
+
+    def connects(self, nodes: AbstractSet[Vertex]) -> bool:
+        """True iff the tree restricted to the non-empty vertex set nodes is
+        connected. A forest is connected iff it has one edge fewer than
+        vertices, and each tree edge inside nodes is the parent edge of
+        exactly one member other than the root (whose parent is itself)."""
+        index, parent = self.index, self._parent
+        inside = {index[v] for v in nodes}
+        return sum(parent[i] in inside for i in inside if i) == len(inside) - 1
 
     def cycle(self, e) -> Cycle:
         """The unique cycle closed by the non-tree edge e of g."""

@@ -13,7 +13,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .decomposition import TreeDecomposition, _anchored, from_subtrees, validate
 from .errors import CapExceeded
@@ -161,36 +161,67 @@ def count_spanning_trees(g: Graph, pivot_order: Optional[List[Vertex]] = None) -
     return _det_bareiss(lap)
 
 
-def sample_spanning_tree(g: Graph, rng: random.Random) -> Graph:
-    """One uniformly random spanning tree (loop-erased random walk)."""
+def _wilson(g: Graph) -> Callable[[random.Random], Graph]:
+    """A sampler of uniformly random spanning trees of g (Wilson's
+    loop-erased random walk); g is checked to be connected and indexed once
+    for all the sampler's draws.
+
+    The walk runs over integer neighbour lists. Each step draws as
+    rng.choice over the neighbour tuple does: getrandbits of the length's
+    bit_length, redrawn while not below the length. So the random stream,
+    and every tree drawn from it, is the one rng.choice would give.
+    """
     if not is_connected(g):
         raise ValueError("need a connected graph")
     verts = g.vertices
-    in_tree = {verts[0]}
-    parent: Dict[Vertex, Vertex] = {}
-    for v in verts[1:]:
-        if v in in_tree:
-            continue
-        nxt: Dict[Vertex, Vertex] = {}
-        u = v
-        while u not in in_tree:
-            nxt[u] = rng.choice(g.neighbors(u))
-            u = nxt[u]
-        u = v
-        while u not in in_tree:
-            in_tree.add(u)
-            parent[u] = nxt[u]
-            u = nxt[u]
-    return Graph(verts, [(c, p) for c, p in parent.items()])
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = [[index[w] for w in g.neighbors(v)] for v in verts]
+    lens = [len(a) for a in nbrs]
+    bits = [m.bit_length() for m in lens]
+    n = len(verts)
+
+    def draw(rng: random.Random) -> Graph:
+        getrandbits = rng.getrandbits
+        in_tree = [False] * n
+        in_tree[0] = True
+        nxt = [0] * n
+        edges = []
+        for v in range(1, n):
+            u = v
+            while not in_tree[u]:
+                m, k = lens[u], bits[u]
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                nxt[u] = nbrs[u][r]
+                u = nxt[u]
+            u = v
+            while not in_tree[u]:
+                in_tree[u] = True
+                w = nxt[u]
+                edges.append((verts[u], verts[w]))
+                u = w
+        return Graph(verts, edges)
+
+    return draw
+
+
+def sample_spanning_tree(g: Graph, rng: random.Random) -> Graph:
+    """One uniformly random spanning tree (loop-erased random walk)."""
+    return _wilson(g)(rng)
 
 
 def sample_spanning_trees(g: Graph, count: int, seed: int = 0) -> Iterator[Graph]:
     """count uniformly random spanning trees drawn lazily from one seeded
-    stream. A negative count raises here, before anything is drawn."""
+    stream, the trees count calls of sample_spanning_tree on
+    random.Random(seed) would give. A negative count or a disconnected g
+    raises here, before anything is drawn; g is checked and indexed once
+    for the whole stream."""
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
+    draw = _wilson(g)
     rng = random.Random(seed)
-    return (sample_spanning_tree(g, rng) for _ in range(count))
+    return (draw(rng) for _ in range(count))
 
 
 # -------------------------------------------------------------- decider

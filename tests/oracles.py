@@ -2,15 +2,19 @@
 
 Everything here trades speed for obviousness: subtree-product search over
 explicitly enumerated candidates, subset enumeration for counting, and
-permutation search for treewidth. None of it shares code with the engines
-under test beyond the basic graph type and the validator.
+permutation search for treewidth, rng.choice for the spanning-tree walk,
+and relabelling for the reflected tree. None of it shares code with the
+engines under test beyond the basic graph and reflected-tree types and the
+validator.
 """
 
 import itertools
+import random
 from typing import Dict, FrozenSet, Iterator, List
 
+from tdforge.constructions import ReflectedTree
 from tdforge.decomposition import from_subtrees, is_anchored, validate
-from tdforge.graphs import Graph, is_spanning_tree
+from tdforge.graphs import Graph, Vertex, is_connected, is_spanning_tree
 
 
 def enumerate_induced_subtrees(t: Graph, anchor: str) -> Iterator[FrozenSet[str]]:
@@ -202,3 +206,53 @@ def naive_threshold(g: Graph, host: Graph, top_budget: int,
         if naive_decide(g, host, b, anchored):
             return b
     return top_budget
+
+
+def choice_spanning_tree(g: Graph, rng: random.Random) -> Graph:
+    """One uniformly random spanning tree (loop-erased random walk) over
+    dicts and sets, each step an rng.choice over the neighbour tuple: the
+    reference for the stream the indexed sampler must draw."""
+    if not is_connected(g):
+        raise ValueError("need a connected graph")
+    verts = g.vertices
+    in_tree = {verts[0]}
+    parent: Dict[Vertex, Vertex] = {}
+    for v in verts[1:]:
+        if v in in_tree:
+            continue
+        nxt: Dict[Vertex, Vertex] = {}
+        u = v
+        while u not in in_tree:
+            nxt[u] = rng.choice(g.neighbors(u))
+            u = nxt[u]
+        u = v
+        while u not in in_tree:
+            in_tree.add(u)
+            parent[u] = nxt[u]
+            u = nxt[u]
+    return Graph(verts, [(c, p) for c, p in parent.items()])
+
+
+def _prefixed(rt: ReflectedTree, prefix: str) -> ReflectedTree:
+    fn = lambda v: prefix + v
+    copies = None
+    if rt.copies is not None:
+        copies = (_prefixed(rt.copies[0], prefix), _prefixed(rt.copies[1], prefix))
+    return ReflectedTree(rt.graph.relabel(fn), rt.level,
+                         tuple(fn(v) for v in rt.roots), copies)
+
+
+def relabelled_reflected_tree(r: int) -> ReflectedTree:
+    """The level-r reflected tree by the relabel recursion: build level r-1
+    once, then rename every vertex of it and of each nested copy under "L."
+    and under "R."."""
+    if r == 1:
+        return ReflectedTree(Graph(["u"]), 1, ("u",), None)
+    child = relabelled_reflected_tree(r - 1)
+    left = _prefixed(child, "L.")
+    right = _prefixed(child, "R.")
+    vertices = ["u", "v"] + list(left.graph.vertices) + list(right.graph.vertices)
+    edges = list(left.graph.edges) + list(right.graph.edges)
+    edges += [("u", left.roots[0]), ("u", right.roots[0]),
+              ("v", left.roots[-1]), ("v", right.roots[-1])]
+    return ReflectedTree(Graph(vertices, edges), r, ("u", "v"), (left, right))

@@ -562,6 +562,10 @@ class TestPinnedOutputs:
          "66812a6954fcd025a37c94b31cecaf5fa9d0797752cc4b1e6d2f47d69475f9b0"),
         (["pipeline", "--k", "1"],
          "1403553fc90a3cd3a0be4c9dbc48182aae5d10bab906d56de5f8b8970bcea4c6"),
+        (["certify", "--r", "7", "--sample", "50", "--seed", "1"],
+         "b0f6fc49fe4f1d27dcba91df6e4339869c022c6ee12615a21cf98099fb04681f"),
+        (["certify", "--r", "3", "--all"],
+         "97d612215bff76e2aba7f5711ca3d5df6be53174adb16e692451b67c7ba09a8d"),
     ])
     def test_digest(self, tmp_path, capsys, argv, digest):
         assert self.digest(tmp_path, argv) == digest

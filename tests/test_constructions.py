@@ -16,6 +16,8 @@ from tdforge.constructions import (
 from tdforge.errors import ScheduleTooLarge, SizeExceeded
 from tdforge.graphs import Graph, is_connected, is_tree, tree_path
 
+from oracles import relabelled_reflected_tree
+
 
 class TestReflectedTree:
     def test_base_level(self):
@@ -58,6 +60,20 @@ class TestReflectedTree:
             assert rt.graph.has_edge(*e)
         # roots of the whole are fresh, never adjacent to each other
         assert not rt.graph.has_edge("u", "v")
+
+    def test_matches_relabel_recursion(self):
+        """Every copy, at every depth, has the vertices in the same order,
+        the edges, roots and level of the relabel recursion's copy."""
+        def same(a, b):
+            assert a.graph.vertices == b.graph.vertices
+            assert a.graph.edges == b.graph.edges
+            assert (a.roots, a.level) == (b.roots, b.level)
+            assert (a.copies is None) == (b.copies is None)
+            for x, y in zip(a.copies or (), b.copies or ()):
+                same(x, y)
+
+        for r in range(1, 9):
+            same(reflected_tree(r), relabelled_reflected_tree(r))
 
     def test_cap(self):
         with pytest.raises(SizeExceeded) as exc:

@@ -12,6 +12,7 @@ from tdforge.graphs import (
     HostTree,
     Matching,
     complete_graph,
+    connected_in,
     cycle_graph,
     edge,
     fundamental_cycle,
@@ -23,7 +24,7 @@ from tdforge.graphs import (
     tree_diameter,
     tree_path,
 )
-from generators import random_spanning_tree, random_tree
+from generators import random_connected_graph, random_spanning_tree, random_tree
 from oracles import bfs_path, enumerate_induced_subtrees
 
 
@@ -196,6 +197,32 @@ class TestHostTree:
             cyc = host.cycle(e)
             assert cyc.vertices == set(p)
             assert cyc.edges == {edge(x, y) for x, y in zip(p, p[1:])} | {e}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=9),
+           st.integers(min_value=0, max_value=2 ** 31), st.data())
+    def test_connects_agrees_with_bfs(self, n, seed, data):
+        """connects(nodes), read from the parent list, is the plain BFS
+        connectivity of the tree's restriction to nodes, for subsets with
+        and without the root (index 0)."""
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n, 0.5)
+        t = random_spanning_tree(rng, g)
+        host = HostTree(g, t)
+        subsets = st.sets(st.sampled_from(g.vertices), min_size=1)
+        for _ in range(8):
+            nodes = data.draw(subsets)
+            assert host.connects(nodes) == connected_in(t, nodes)
+
+    def test_connects_on_a_path(self):
+        """On a path rooted at its end, the root is counted once whether or
+        not its neighbour is in the set."""
+        p = path_graph(4)
+        host = HostTree(p, p)
+        assert host.connects({"p00"})
+        assert host.connects({"p00", "p01", "p02"})
+        assert not host.connects({"p00", "p02"})
+        assert not host.connects({"p00", "p01", "p03"})
 
     def test_rejections(self):
         c = cycle_graph(4)

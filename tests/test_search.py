@@ -37,7 +37,7 @@ from tdforge.search import (
 )
 from generators import oracle_corpus, random_connected_graph, random_tree
 from oracles import (bfs_path, brute_count_spanning_trees, brute_treewidth,
-                     naive_decide, naive_threshold)
+                     choice_spanning_tree, naive_decide, naive_threshold)
 
 
 class TestEnumerateSpanningTrees:
@@ -109,6 +109,51 @@ class TestSampleSpanningTree:
         b = [t.edges for t in sample_spanning_trees(g, 6, seed=7)]
         assert a == b
         assert a != [t.edges for t in sample_spanning_trees(g, 6, seed=8)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=9),
+           st.sampled_from([0.3, 0.5, 0.8]),
+           st.integers(min_value=0, max_value=2 ** 31),
+           st.integers(min_value=0, max_value=2 ** 31),
+           st.integers(min_value=0, max_value=6))
+    def test_draws_the_rng_choice_stream(self, n, p, graph_seed, seed, count):
+        """Draw for draw, the indexed sampler gives the trees the
+        rng.choice walk gives on one stream, and leaves the stream where
+        that walk leaves it."""
+        g = random_connected_graph(random.Random(graph_seed), n, p)
+        self.assert_same_stream(g, seed, count)
+
+    def test_draws_the_rng_choice_stream_off_powers_of_two(self):
+        """Neighbour counts of 3, 5 and 6 make getrandbits draw values past
+        the count, so the redraw loop runs."""
+        for g in (complete_graph(4), complete_graph(6), complete_graph(7),
+                  reflected_tree(5).graph):
+            assert any(len(g.neighbors(v)) & (len(g.neighbors(v)) - 1)
+                       for v in g.vertices)
+            self.assert_same_stream(g, 17, 25)
+
+    @staticmethod
+    def assert_same_stream(g, seed, count):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(count):
+            got, want = sample_spanning_tree(g, rng), choice_spanning_tree(g, ref)
+            assert (got.vertices, got.edges) == (want.vertices, want.edges)
+        assert rng.getstate() == ref.getstate()
+        ref = random.Random(seed)
+        stream = [(t.vertices, t.edges)
+                  for t in sample_spanning_trees(g, count, seed=seed)]
+        assert stream == [(t.vertices, t.edges) for t in
+                          (choice_spanning_tree(g, ref) for _ in range(count))]
+
+    def test_disconnected_graph_refused_at_call(self):
+        """The stream checks g once, when called, as it checks the count:
+        nothing has to be drawn for the error to show."""
+        g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+        for count in (0, 3):
+            with pytest.raises(ValueError, match="connected"):
+                sample_spanning_trees(g, count)
+        with pytest.raises(ValueError, match="connected"):
+            sample_spanning_tree(g, random.Random(0))
 
     def test_square_samples_roughly_uniform(self):
         g = cycle_graph(4)
