@@ -15,8 +15,7 @@ from typing import Dict, FrozenSet, List, Tuple
 from .constructions import ReflectedTree
 from .decomposition import TreeDecomposition, _anchored, validate
 from .errors import CertificateContradiction, HypothesisViolated, StructureViolation
-from .graphs import (Edge, Graph, HostTree, Matching, Vertex, component_in,
-                     path_edges)
+from .graphs import Edge, Graph, HostTree, Matching, Vertex, path_edges
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,8 @@ def _collect_matching(rt: ReflectedTree, host: HostTree) -> List[Edge]:
 
     host indexes a spanning tree t of the whole reflected tree; only its
     edges inside rt matter, so the recursion asks host whether t's
-    restriction to a vertex set is connected rather than building
-    restricted subgraphs.
+    restriction to a vertex set is connected, and for its components,
+    rather than building restricted subgraphs.
     """
     t = host.tree
     if rt.level == 2:
@@ -58,11 +57,7 @@ def _collect_matching(rt: ReflectedTree, host: HostTree) -> List[Edge]:
     connected_copy = left if conn_left else right
     other_copy = right if conn_left else left
     side_vertices = other_copy.graph.vertex_set | {u, v}
-    comps = []
-    rest = set(side_vertices)
-    while rest:
-        comps.append(component_in(t, rest, min(rest)))
-        rest -= comps[-1]
+    comps = host.components(side_vertices)
     if len(comps) != 2:
         raise StructureViolation(
             f"level {rt.level}: disconnected side fell into {len(comps)} "

@@ -107,7 +107,7 @@ class Run:
         if to_dot:
             text = obj
         else:
-            text = json.dumps(obj, indent=2) + "\n"
+            text = io.json_text(obj) + "\n"
         if path is None:
             sys.stdout.write(text)
         else:
@@ -140,7 +140,7 @@ class Run:
             manifest["decider"] = self.decider
         try:
             with open(manifest_path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(manifest, indent=2) + "\n")
+                fh.write(io.json_text(manifest) + "\n")
         except OSError as exc:
             print(f"error: run manifest not written: {exc}", file=sys.stderr)
 

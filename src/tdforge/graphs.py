@@ -94,11 +94,24 @@ class Graph:
         es = [e for e in self._edges if e[0] in ks and e[1] in ks]
         return Graph(vs, es)
 
-    def relabel(self, fn) -> "Graph":
-        """New graph with every vertex v renamed to fn(v); fn must be injective."""
-        vs = [fn(v) for v in self._vertices]
-        es = [(fn(u), fn(v)) for u, v in self._edges]
-        return Graph(vs, es)
+    def _spanning_subgraph(self, edges: Iterable[Edge]) -> "Graph":
+        """The graph on all of this graph's vertices with the given edges,
+        built without checks: the caller guarantees that every edge is a
+        canonical edge (a, b), a < b, of this graph. The vertex tuple and
+        set are shared with this graph."""
+        es = frozenset(edges)
+        adj: Dict[Vertex, list] = {v: [] for v in self._vertices}
+        for a, b in es:
+            adj[a].append(b)
+            adj[b].append(a)
+        for ws in adj.values():
+            ws.sort()
+        sub = Graph.__new__(Graph)
+        sub._vertices = self._vertices
+        sub._vset = self._vset
+        sub._edges = es
+        sub._adj = {v: tuple(ws) for v, ws in adj.items()}
+        return sub
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -193,8 +206,9 @@ class HostTree:
     then climb from both ends to the common ancestor, in time linear in the
     answer's length, without re-checking the tree. path_row gives the paths
     from every index to one index, and adjacency the tree's neighbourhoods,
-    as bitmasks over the same index; connects reads from the parent list
-    whether the tree's restriction to a vertex set is connected.
+    as bitmasks over the same index; connects and components read from the
+    parent list whether the tree's restriction to a vertex set is connected,
+    and its components.
     """
 
     __slots__ = ("graph", "tree", "vertices", "index", "_parent", "_depth")
@@ -287,6 +301,20 @@ class HostTree:
         index, parent = self.index, self._parent
         inside = {index[v] for v in nodes}
         return sum(parent[i] in inside for i in inside if i) == len(inside) - 1
+
+    def components(self, nodes: AbstractSet[Vertex]) -> List[Set[Vertex]]:
+        """The vertex sets of the components of the tree restricted to the
+        vertex set nodes. Each component has one top, its member nearest the
+        root: the root itself, or a member whose parent is outside nodes.
+        Members are visited by depth, so every other member joins its
+        parent's component after the parent has joined one."""
+        index, parent, vertices = self.index, self._parent, self.vertices
+        top: Dict[int, int] = {}
+        comps: Dict[int, Set[Vertex]] = {}
+        for i in sorted([index[v] for v in nodes], key=self._depth.__getitem__):
+            top[i] = t = top.get(parent[i], i)
+            comps.setdefault(t, set()).add(vertices[i])
+        return list(comps.values())
 
     def cycle(self, e) -> Cycle:
         """The unique cycle closed by the non-tree edge e of g."""

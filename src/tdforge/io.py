@@ -6,11 +6,62 @@ order is preserved where it is meaningful, everything else is sorted.
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii as _string
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .constructions import GadgetInstance, GadgetSchedule
 from .decomposition import TreeDecomposition
 from .graphs import Graph, Matching, edge
+
+
+def json_text(obj) -> str:
+    """The text of json.dumps(obj, indent=2), byte for byte.
+
+    With an indent, json.dumps runs the stdlib's pure-Python encoder, which
+    yields every bracket, separator and scalar as a chunk of its own. This
+    writer builds one string per container and escapes strings with the C
+    escaper json.dumps uses under ensure_ascii. json.dumps itself spells
+    the other scalars and the dict keys that are not strings, and raises
+    its TypeError on what it cannot serialize. A container that holds
+    itself exhausts the recursion limit instead of raising json's
+    ValueError.
+    """
+    return _text(obj, "\n")
+
+
+def _text(o, pad: str) -> str:
+    """o as json_text writes it at the nesting depth whose line break and
+    indent is pad."""
+    if isinstance(o, str):
+        return _string(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        try:
+            body = ("," + inner).join(map(_string, o))
+        except TypeError:  # an item that is not a string
+            body = ("," + inner).join([_text(x, inner) for x in o])
+        return "[" + inner + body + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _key(k) + ": " + _text(v, inner) for k, v in o.items()]) + pad + "}"
+    return json.dumps(o)
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: numbers, booleans and None become the
+    string of their JSON spelling."""
+    if isinstance(k, str):
+        return _string(k)
+    if k is None or isinstance(k, (int, float)):
+        return _string(json.dumps(k))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
 
 
 def _check_ids(ids: Iterable) -> None:
@@ -207,7 +258,6 @@ def model_from_obj(obj: dict, graph: Graph):
 # --------------------------------------------------------- certificates
 
 def certificate_to_obj(cert) -> dict:
-    _check_ids(cert.host.vertices)
     return {
         "level": cert.level,
         "host": graph_to_obj(cert.host),

@@ -51,7 +51,8 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[Graph]:
 
     Branches on including or excluding each edge in a fixed order; the
     exclude branch is taken only when the remaining edges can still connect
-    the graph, so no dead subtree is ever entered.
+    the graph, so no dead subtree is ever entered. Trees are built without
+    checks from g's own edges.
     """
     if not is_connected(g):
         raise ValueError("need a connected graph")
@@ -87,7 +88,7 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[Graph]:
 
     def rec(i: int):
         if len(chosen) == n - 1:
-            yield Graph(verts, chosen)
+            yield g._spanning_subgraph(chosen)
             return
         if i == m:
             return
@@ -166,7 +167,8 @@ def _wilson(g: Graph) -> Callable[[random.Random], Graph]:
     loop-erased random walk); g is checked to be connected and indexed once
     for all the sampler's draws.
 
-    The walk runs over integer neighbour lists. Each step draws as
+    The walk runs over integer neighbour lists and emits canonical edges of
+    g, so each tree is built without checks. Each step draws as
     rng.choice over the neighbour tuple does: getrandbits of the length's
     bit_length, redrawn while not below the length. So the random stream,
     and every tree drawn from it, is the one rng.choice would give.
@@ -199,9 +201,10 @@ def _wilson(g: Graph) -> Callable[[random.Random], Graph]:
             while not in_tree[u]:
                 in_tree[u] = True
                 w = nxt[u]
-                edges.append((verts[u], verts[w]))
+                a, b = verts[u], verts[w]
+                edges.append((a, b) if a < b else (b, a))
                 u = w
-        return Graph(verts, edges)
+        return g._spanning_subgraph(edges)
 
     return draw
 
@@ -475,8 +478,12 @@ def _init_sweep_worker(g: Graph, bound: int, budget: int,
 
 def _sweep_chunk(chunk: List[List[Edge]]) -> List[DeciderResult]:
     g, bound, budget, anchored = _sweep
+    # the unchecked trees below take only edges of g; HostTree checks the
+    # rest, as it does in a serial sweep
+    if not all(g.edges.issuperset(tree_edges) for tree_edges in chunk):
+        raise ValueError("host is not a spanning tree of g")
     # witnesses are dropped in sweep mode to keep results light
-    return [replace(_decide(HostTree(g, Graph(g.vertices, tree_edges)),
+    return [replace(_decide(HostTree(g, g._spanning_subgraph(tree_edges)),
                             budget, anchored, bound), witness=None)
             for tree_edges in chunk]
 

@@ -233,12 +233,18 @@ def choice_spanning_tree(g: Graph, rng: random.Random) -> Graph:
     return Graph(verts, [(c, p) for c, p in parent.items()])
 
 
+def relabel(g: Graph, fn) -> Graph:
+    """New graph with every vertex v renamed to fn(v); fn must be injective."""
+    return Graph([fn(v) for v in g.vertices],
+                 [(fn(u), fn(v)) for u, v in g.edges])
+
+
 def _prefixed(rt: ReflectedTree, prefix: str) -> ReflectedTree:
     fn = lambda v: prefix + v
     copies = None
     if rt.copies is not None:
         copies = (_prefixed(rt.copies[0], prefix), _prefixed(rt.copies[1], prefix))
-    return ReflectedTree(rt.graph.relabel(fn), rt.level,
+    return ReflectedTree(relabel(rt.graph, fn), rt.level,
                          tuple(fn(v) for v in rt.roots), copies)
 
 

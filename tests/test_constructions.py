@@ -16,7 +16,7 @@ from tdforge.constructions import (
 from tdforge.errors import ScheduleTooLarge, SizeExceeded
 from tdforge.graphs import Graph, is_connected, is_tree, tree_path
 
-from oracles import relabelled_reflected_tree
+from oracles import relabel, relabelled_reflected_tree
 
 
 class TestReflectedTree:
@@ -51,8 +51,8 @@ class TestReflectedTree:
         rt = reflected_tree(4)
         left, right = rt.copies
         child = reflected_tree(3)
-        assert left.graph == child.graph.relabel(lambda v: "L." + v)
-        assert right.graph == child.graph.relabel(lambda v: "R." + v)
+        assert left.graph == relabel(child.graph, lambda v: "L." + v)
+        assert right.graph == relabel(child.graph, lambda v: "R." + v)
         assert left.graph.edges <= rt.graph.edges
         # the four attachment edges: u to the first roots, v to the last
         for e in [("u", left.roots[0]), ("u", right.roots[0]),

@@ -12,6 +12,7 @@ from tdforge.graphs import (
     HostTree,
     Matching,
     complete_graph,
+    component_in,
     connected_in,
     cycle_graph,
     edge,
@@ -213,6 +214,27 @@ class TestHostTree:
         for _ in range(8):
             nodes = data.draw(subsets)
             assert host.connects(nodes) == connected_in(t, nodes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=9),
+           st.integers(min_value=0, max_value=2 ** 31), st.data())
+    def test_components_agree_with_bfs(self, n, seed, data):
+        """components(nodes), read from the parent list, are the plain BFS
+        components of the tree's restriction to nodes, for subsets with and
+        without the root (index 0)."""
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n, 0.5)
+        t = random_spanning_tree(rng, g)
+        host = HostTree(g, t)
+        subsets = st.sets(st.sampled_from(g.vertices), min_size=1)
+        for _ in range(8):
+            nodes = data.draw(subsets)
+            want, rest = [], set(nodes)
+            while rest:
+                want.append(frozenset(component_in(t, rest, min(rest))))
+                rest -= want[-1]
+            got = host.components(nodes)
+            assert sorted(map(sorted, got)) == sorted(map(sorted, want))
 
     def test_connects_on_a_path(self):
         """On a path rooted at its end, the root is counted once whether or

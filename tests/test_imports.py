@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and none
+indents JSON through json.dumps."""
 
 import ast
 import os
@@ -58,3 +59,31 @@ def test_checker_flags_unused_and_reads_string_annotations():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def indented_json_calls(source: str):
+    """Line numbers of the calls to a function named dump or dumps, such
+    as json.dumps, that pass an indent keyword: with an indent, json runs
+    its pure-Python encoder, and io.json_text writes the same text."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            in ("dump", "dumps")
+            and any(k.arg == "indent" for k in node.keywords)]
+
+
+def test_indent_checker_flags_indented_dumps():
+    source = ("import json\n"
+              "from json import dumps\n"
+              "a = json.dumps(x, indent=2)\n"
+              "b = dumps(x, indent=None)\n"
+              "c = json.dumps(x)\n"
+              "json.dump(x, fh, sort_keys=True, indent=4)\n"
+              "d = text.dumps(indent)\n")
+    assert indented_json_calls(source) == [3, 4, 6]
+
+
+def test_no_indented_json_dumps():
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            assert indented_json_calls(fh.read()) == [], module

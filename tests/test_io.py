@@ -1,9 +1,11 @@
 """JSON round-trips, loader shape checks, DOT rendering."""
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdforge import io
 from tdforge.certificates import reflected_matching
@@ -191,6 +193,60 @@ class TestLoaderShapes:
         del obj[next(iter(obj))]
         with pytest.raises(ValueError):
             self.load(kind, obj)
+
+
+# JSON values as json.dumps takes them: tuples are written as lists, and
+# dict keys may be numbers, booleans or None, which json writes as strings.
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text())
+_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    """io.json_text is json.dumps(obj, indent=2), byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_VALUES)
+    def test_matches_json_dumps(self, obj):
+        assert io.json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[[]], {}, ()],
+        {"a": [{"b": [[], {}]}], "c": ({},)},
+        ["é", "\x00\x1f\x7f", "\u2028", "\U0001F600", "\ud800", '"\\\n\t'],
+        {"ключ": "значение", "\x00": "\x01"},
+        [-0.0, 0.0, 1e300, -1e-300, float("nan"), float("inf"),
+         float("-inf"), 2 ** 100, -1, True, False, None],
+        {2: "int", 2.5: "float", float("nan"): "nan", False: "bool",
+         None: "none", "s": "str"},
+        "top", 7, -0.0, None, True,
+    ])
+    def test_edge_cases(self, obj):
+        assert io.json_text(obj) == json.dumps(obj, indent=2)
+
+    def test_certify_document(self):
+        rt = reflected_tree(4)
+        certs = [io.certificate_to_obj(reflected_matching(rt, t)) for t in
+                 itertools.islice(enumerate_spanning_trees(rt.graph), 20)]
+        doc = {"mode": "all", "count": len(certs), "certificates": certs}
+        assert io.json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        {1, 2}, [set()], ["a", frozenset()], {"a": b"bytes"},
+        ({"a": object()},), {(1, 2): "tuple key"}, {"a": {b"k": 1}},
+    ])
+    def test_unserializable_raises_json_type_error(self, obj):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as got:
+            io.json_text(obj)
+        assert str(got.value) == str(want.value)
 
 
 class TestDot:

@@ -165,6 +165,64 @@ class TestSampleSpanningTree:
         assert all(180 <= c <= 320 for c in counts.values())
 
 
+class TestTreesFromCheckedGraphs:
+    """Sampled, enumerated and pooled-sweep trees are built from g's own
+    edges without checks; each is the Graph the checking constructor
+    builds from the same edges."""
+
+    @staticmethod
+    def assert_checked(g, t, want=None):
+        if want is None:
+            want = Graph(g.vertices, sorted(t.edges))
+        assert all(a < b for a, b in t.edges) and t.edges <= g.edges
+        assert t.vertices == want.vertices == g.vertices
+        assert t.vertex_set == want.vertex_set
+        assert t.edges == want.edges
+        for v in g.vertices:
+            assert t.neighbors(v) == want.neighbors(v)
+
+    def test_sampled_trees(self):
+        """Against the rng.choice walk, whose trees the checking
+        constructor builds, at levels 4, 5 and 7 and on corpus graphs."""
+        graphs = [reflected_tree(r).graph for r in (4, 5, 7)]
+        graphs += oracle_corpus()[::10]
+        for seed, g in enumerate(graphs):
+            ref = random.Random(seed)
+            for t in sample_spanning_trees(g, 5, seed=seed):
+                self.assert_checked(g, t, choice_spanning_tree(g, ref))
+
+    def test_enumerated_trees(self):
+        """All 96 level-3 trees, and every tree of a slice of the oracle
+        corpus."""
+        g = reflected_tree(3).graph
+        trees = list(enumerate_spanning_trees(g))
+        assert len({t.edges for t in trees}) == 96
+        for t in trees:
+            self.assert_checked(g, t)
+        for g in oracle_corpus()[::10]:
+            for t in enumerate_spanning_trees(g):
+                assert is_spanning_tree(g, t)
+                self.assert_checked(g, t)
+
+    def test_pooled_sweep_worker(self, monkeypatch):
+        """The worker's trees decide as the serial sweep's do, and a host
+        with an edge outside g is refused as the serial sweep refuses it."""
+        g = reflected_tree(3).graph
+        trees = list(enumerate_spanning_trees(g))[::7]
+        monkeypatch.setattr(search, "_sweep",
+                            (g, minor_min_width(g), 2, True))
+        pooled = search._sweep_chunk([sorted(t.edges) for t in trees])
+        serial = decide_over_trees(g, trees, 2, anchored=True)
+        assert [(r.status, r.nodes) for r in pooled] == \
+            [(r.status, r.nodes) for r in serial]
+        foreign = sorted(trees[0].edges)[1:] + [("u", "v")]
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            search._sweep_chunk([foreign])
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            next(decide_over_trees(g, [Graph(g.vertices, foreign)], 2,
+                                   anchored=True))
+
+
 class TestDecider:
     def test_single_vertex(self):
         """The lone vertex has no edge to give it a subtree, so it starts
