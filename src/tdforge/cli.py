@@ -417,8 +417,7 @@ def cmd_pipeline(run: Run, args) -> int:
     unsat = 0
     sat = False
     stream = certified(trees)
-    for res in decide_over_trees(core.graph, stream, budget, True,
-                                 jobs=args.jobs):
+    for res in decide_over_trees(core.graph, stream, budget, True):
         sat = res.is_sat
         if sat:
             break
@@ -573,7 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--toy-heights", dest="toy_heights")
     p.add_argument("--toy-widths", dest="toy_widths")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility, no effect: trees are "
+                        "decided in-process, one after another")
     common(p)
     p.set_defaults(func=cmd_pipeline)
 

@@ -195,7 +195,6 @@ def schedule_from_obj(obj: dict) -> GadgetSchedule:
 
 
 def instance_to_obj(inst: GadgetInstance) -> dict:
-    _check_ids(inst.graph.vertices)
     return {
         "base": graph_to_obj(inst.base),
         "ordering": list(inst.ordering),

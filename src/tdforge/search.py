@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from itertools import islice
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .decomposition import TreeDecomposition, _anchored, from_subtrees, validate
 from .errors import CapExceeded
-from .graphs import (Edge, Graph, HostTree, Vertex, component_in,
-                     is_connected, path_graph, tree_diameter)
+from .graphs import (Graph, HostTree, Vertex, component_in, is_connected,
+                     path_graph, tree_diameter)
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -455,69 +452,16 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
                          pruned_no_room, pruned_path)
 
 
-# A pooled sweep sends trees to its workers in chunks and keeps at most
-# this many chunks per worker in flight, so it pulls trees only that far
-# ahead of the results it has yielded. A slow chunk at the head idles the
-# other workers once the rest of the window is done; on 192 sampled
-# level-4 hosts at anchored budget 2 (2 workers, 2 cores, 0.01-61 s per
-# tree) two chunks per worker took 392 s, four 394 s, and submitting every
-# tree up front 419 s.
-_SWEEP_CHUNK = 16
-_CHUNKS_PER_WORKER = 2
-
-# The sweep's graph, bound, budget and mode in a pool worker, set once by
-# the initializer.
-_sweep: Optional[Tuple[Graph, int, int, bool]] = None
-
-
-def _init_sweep_worker(g: Graph, bound: int, budget: int,
-                       anchored: bool) -> None:
-    global _sweep
-    _sweep = (g, bound, budget, anchored)
-
-
-def _sweep_chunk(chunk: List[List[Edge]]) -> List[DeciderResult]:
-    g, bound, budget, anchored = _sweep
-    # the unchecked trees below take only edges of g; HostTree checks the
-    # rest, as it does in a serial sweep
-    if not all(g.edges.issuperset(tree_edges) for tree_edges in chunk):
-        raise ValueError("host is not a spanning tree of g")
-    # witnesses are dropped in sweep mode to keep results light
-    return [replace(_decide(HostTree(g, g._spanning_subgraph(tree_edges)),
-                            budget, anchored, bound), witness=None)
-            for tree_edges in chunk]
-
-
 def decide_over_trees(g: Graph, trees: Iterable[Graph], budget: int,
-                      anchored: bool, jobs: int = 1) -> Iterator[DeciderResult]:
-    """Run the decider over many host trees of g, in order, optionally in a
-    process pool that receives g once per worker.
+                      anchored: bool) -> Iterator[DeciderResult]:
+    """Run the decider over many host trees of g, lazily and in order.
 
     minor_min_width(g) is computed once per sweep. Below it every host is
-    still checked, but nothing is searched and no pool is started. A pooled
-    sweep pulls trees lazily, a bounded window ahead of its results, and
-    cancels the chunks still queued when the caller stops early.
+    still checked, but nothing is searched. Each result keeps its witness.
     """
     bound = minor_min_width(g)
-    if jobs <= 1 or budget < bound:
-        for t in trees:
-            yield _decide(HostTree(g, t), budget, anchored, bound)
-        return
-    edge_lists = (sorted(t.edges) for t in trees)
-    chunks = iter(lambda: list(islice(edge_lists, _SWEEP_CHUNK)), [])
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_sweep_worker,
-                             initargs=(g, bound, budget, anchored)) as pool:
-        window = deque(pool.submit(_sweep_chunk, c)
-                       for c in islice(chunks, _CHUNKS_PER_WORKER * jobs))
-        try:
-            while window:
-                yield from window.popleft().result()
-                chunk = next(chunks, None)
-                if chunk is not None:
-                    window.append(pool.submit(_sweep_chunk, chunk))
-        finally:
-            for future in window:
-                future.cancel()
+    for t in trees:
+        yield _decide(HostTree(g, t), budget, anchored, bound)
 
 
 def min_anchored_spanning_width(g: Graph, cap_vertices: int = 12

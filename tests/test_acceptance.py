@@ -271,7 +271,8 @@ def test_criterion_10():
     budgets 0..3, anchored and unanchored, over every spanning tree of a
     fixed seeded 500-graph corpus (up to 6 vertices, density thinned with
     size so the oracle's exhaustive UNSAT proofs stay affordable; complete
-    graphs up to K5 included)."""
+    graphs up to K5 included). Each SAT witness is valid, within its
+    budget, and anchored when asked to be."""
     t0 = time.monotonic()
     graphs = oracle_corpus()
     assert len(graphs) == 500
@@ -293,6 +294,7 @@ def test_criterion_10():
                     if res.is_sat:
                         assert validate(g, res.witness)
                         assert res.witness.width() <= b
+                        assert not anchored or is_anchored(g, res.witness)
     assert trees == CORPUS_TREES
     assert time.monotonic() - t0 < BUDGET_10
 

@@ -426,7 +426,7 @@ class TestPipeline:
             verified.append(cert)
             return len(verified) != 5
 
-        def decide(g, trees, budget, anchored, jobs=1):
+        def decide(g, trees, budget, anchored):
             for i, _ in enumerate(trees):
                 yield SimpleNamespace(is_sat=i == 2)
 
@@ -566,6 +566,11 @@ class TestPinnedOutputs:
          "b0f6fc49fe4f1d27dcba91df6e4339869c022c6ee12615a21cf98099fb04681f"),
         (["certify", "--r", "3", "--all"],
          "97d612215bff76e2aba7f5711ca3d5df6be53174adb16e692451b67c7ba09a8d"),
+        # --jobs still parses and changes nothing
+        (["pipeline", "--k", "1", "--jobs", "1"],
+         "1403553fc90a3cd3a0be4c9dbc48182aae5d10bab906d56de5f8b8970bcea4c6"),
+        (["pipeline", "--k", "1", "--jobs", "2"],
+         "1403553fc90a3cd3a0be4c9dbc48182aae5d10bab906d56de5f8b8970bcea4c6"),
     ])
     def test_digest(self, tmp_path, capsys, argv, digest):
         assert self.digest(tmp_path, argv) == digest

@@ -1,8 +1,10 @@
-"""Every module of the package uses every name it imports, and none
+"""Every module of the package uses every name it imports, imports
+nothing outside the standard library and the package itself, and none
 indents JSON through json.dumps."""
 
 import ast
 import os
+import sys
 
 import pytest
 
@@ -59,6 +61,39 @@ def test_checker_flags_unused_and_reads_string_annotations():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def outside_imports(source: str):
+    """Top-level names of the absolute imports, anywhere in the module,
+    that are neither standard library modules nor tdforge; relative
+    imports are the package's own."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names - {"tdforge"})
+
+
+def test_stdlib_checker_flags_third_party_imports():
+    source = ("from __future__ import annotations\n"
+              "import json, os.path\n"
+              "import numpy as np\n"
+              "from . import graphs\n"
+              "from .search import SAT\n"
+              "from tdforge.io import json_text\n"
+              "from networkx.algorithms import tree\n"
+              "def f():\n"
+              "    import yaml\n")
+    assert outside_imports(source) == ["networkx", "numpy", "yaml"]
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(SRC)
+                                          if f.endswith(".py")))
+def test_stdlib_only(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert outside_imports(fh.read()) == []
 
 
 def indented_json_calls(source: str):

@@ -1,5 +1,6 @@
 """JSON round-trips, loader shape checks, DOT rendering."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -73,6 +74,15 @@ class TestScheduleAndInstance:
         assert back.ordering == inst.ordering
         assert back.gadgets == inst.gadgets
         assert back.schedule == inst.schedule
+
+    def test_instance_ids_must_be_strings(self):
+        base = Graph(["a0"], [])
+        inst = attach_gadgets(base, None, toy_schedule(1, 1, [1], [1]))
+        bad = dataclasses.replace(
+            inst, graph=Graph(inst.graph.vertices + (7,), inst.graph.edges),
+            gadgets={"a0": inst.gadgets["a0"] | {7}})
+        with pytest.raises(ValueError, match="must be strings, got 7"):
+            io.instance_to_obj(bad)
 
     def test_instance_consistency_checks(self):
         base = Graph(["a0"], [])

@@ -166,9 +166,9 @@ class TestSampleSpanningTree:
 
 
 class TestTreesFromCheckedGraphs:
-    """Sampled, enumerated and pooled-sweep trees are built from g's own
-    edges without checks; each is the Graph the checking constructor
-    builds from the same edges."""
+    """Sampled and enumerated trees are built from g's own edges without
+    checks; each is the Graph the checking constructor builds from the
+    same edges."""
 
     @staticmethod
     def assert_checked(g, t, want=None):
@@ -203,24 +203,6 @@ class TestTreesFromCheckedGraphs:
             for t in enumerate_spanning_trees(g):
                 assert is_spanning_tree(g, t)
                 self.assert_checked(g, t)
-
-    def test_pooled_sweep_worker(self, monkeypatch):
-        """The worker's trees decide as the serial sweep's do, and a host
-        with an edge outside g is refused as the serial sweep refuses it."""
-        g = reflected_tree(3).graph
-        trees = list(enumerate_spanning_trees(g))[::7]
-        monkeypatch.setattr(search, "_sweep",
-                            (g, minor_min_width(g), 2, True))
-        pooled = search._sweep_chunk([sorted(t.edges) for t in trees])
-        serial = decide_over_trees(g, trees, 2, anchored=True)
-        assert [(r.status, r.nodes) for r in pooled] == \
-            [(r.status, r.nodes) for r in serial]
-        foreign = sorted(trees[0].edges)[1:] + [("u", "v")]
-        with pytest.raises(ValueError, match="not a spanning tree"):
-            search._sweep_chunk([foreign])
-        with pytest.raises(ValueError, match="not a spanning tree"):
-            next(decide_over_trees(g, [Graph(g.vertices, foreign)], 2,
-                                   anchored=True))
 
 
 class TestDecider:
@@ -375,50 +357,29 @@ class TestCandidateFlood:
 
 
 class TestDecideOverTrees:
-    def test_pooled_sweep_pulls_a_bounded_window(self):
-        """A pooled sweep at a budget it searches pulls trees at most a
-        window of chunks ahead of the results it has yielded, and none
-        after the caller stops."""
-        g = complete_graph(4)  # minor-min-width 3
-        trees = list(enumerate_spanning_trees(g))
-        pulled = 0
-
-        def stream():
-            nonlocal pulled
-            for t in itertools.islice(itertools.cycle(trees), 400):
-                pulled += 1
-                yield t
-
-        window = search._SWEEP_CHUNK * search._CHUNKS_PER_WORKER * 2
-        sweep = decide_over_trees(g, stream(), 3, anchored=True, jobs=2)
-        for yielded, res in enumerate(sweep, 1):
-            assert res.is_sat
-            assert pulled <= yielded + window
-            if yielded == 100:
-                break
-        stopped_at = pulled
-        sweep.close()
-        assert pulled == stopped_at
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        g = complete_graph(4)  # minor-min-width 3
+    def test_sources_witnesses_and_foreign_hosts(self):
+        """On K4 (minor-min-width 3) budgets 1 and 2 are bound answers and
+        3 is searched; a witness comes exactly with SAT, every budget-3
+        answer is SAT, trees are pulled one per result, and a host with an edge outside g is refused: here a
+        K4 tree in a sweep over K4 minus one of its edges."""
+        g = complete_graph(4)
         trees = list(enumerate_spanning_trees(g))
         for budget in (1, 2, 3):
-            serial = list(decide_over_trees(g, trees, budget, anchored=True))
-            if budget < 3:  # below the bound: no pool may be started
-                monkeypatch.setattr(search, "ProcessPoolExecutor", None)
-            pooled = list(decide_over_trees(g, trees, budget, anchored=True,
-                                            jobs=2))
-            monkeypatch.undo()
-            assert [(r.status, r.nodes, r.source) for r in serial] == \
-                [(r.status, r.nodes, r.source) for r in pooled]
-            for r in serial:
+            results = list(decide_over_trees(g, trees, budget, anchored=True))
+            assert len(results) == len(trees)
+            assert {r.source for r in results} == \
+                ({BOUND} if budget < 3 else {SEARCH})
+            for r in results:
                 assert (r.witness is None) == (r.status == UNSAT)
-            for r in pooled:
-                assert r.witness is None  # sweep mode drops witnesses
-            sources = {r.source for r in serial}
-            assert sources == ({BOUND} if budget < 3 else {SEARCH})
-        assert {r.status for r in serial} == {SAT}
+        assert {r.status for r in results} == {SAT}
+        pulled = []
+        sweep = decide_over_trees(g, (pulled.append(t) or t for t in trees),
+                                  3, anchored=True)
+        assert [next(sweep).is_sat for _ in range(2)] == [True, True]
+        assert len(pulled) == 2  # lazily: one tree per result
+        k4_minus_e = Graph(g.vertices, g.edges - {min(trees[0].edges)})
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            next(decide_over_trees(k4_minus_e, trees[:1], 3, anchored=True))
 
     def test_hosts_are_checked_below_the_bound(self):
         g = complete_graph(4)
