@@ -307,8 +307,8 @@ def cmd_search(run: Run, args) -> int:
         return EXIT_OK
     if args.what == "min-anchored":
         g = _load_graph(run, args.graph)
-        cap = args.cap if args.cap is not None else 12
-        width, host, witness = min_anchored_spanning_width(g, cap_vertices=cap)
+        width, host, witness = min_anchored_spanning_width(
+            g, cap_vertices=run.settings.cap_vertices)
         run.write({"width": width, "host": io.graph_to_obj(host),
                    "witness": io.td_to_obj(witness)}, args.out)
         return EXIT_OK
@@ -467,12 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "transforms, certificates, and exact search.")
     parser.add_argument("--version", action="version", version=__version__)
 
-    def common(p, seed=True):
+    def common(p, seed=True, cap_help="materialization cap on vertex count"):
         p.add_argument("--out", help="write the main output here "
                                      "(default: stdout)")
         p.add_argument("--config", help="key = value file for caps")
-        p.add_argument("--cap", type=int,
-                       help="materialization cap on vertex count")
+        p.add_argument("--cap", type=int, help=cap_help)
         p.add_argument("--tw-cap", type=int, dest="tw_cap",
                        help="vertex cap for the general treewidth search")
         if seed:
@@ -546,8 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
     p1.set_defaults(func=cmd_search)
     p2 = psub.add_parser("min-anchored")
     p2.add_argument("--graph", required=True)
-    common(p2)
-    p2.set_defaults(func=cmd_search)
+    # the flag's default beats the environment and config caps, so the
+    # exhaustive search keeps its own small cap and the manifest records it
+    common(p2, cap_help="most vertices the graph may have for this search "
+                        "over all its spanning trees (default 12; the "
+                        "environment and config caps do not apply)")
+    p2.set_defaults(func=cmd_search, cap=12)
     p3 = psub.add_parser("tw")
     p3.add_argument("--graph", required=True)
     common(p3)

@@ -205,10 +205,9 @@ class HostTree:
     each index's parent and depth in one traversal. Path and cycle queries
     then climb from both ends to the common ancestor, in time linear in the
     answer's length, without re-checking the tree. path_row gives the paths
-    from every index to one index, and adjacency the tree's neighbourhoods,
-    as bitmasks over the same index; connects and components read from the
-    parent list whether the tree's restriction to a vertex set is connected,
-    and its components.
+    from every index to one index as bitmasks over the same index; connects
+    and components read from the parent list whether the tree's restriction
+    to a vertex set is connected, and its components.
     """
 
     __slots__ = ("graph", "tree", "vertices", "index", "_parent", "_depth")
@@ -282,16 +281,6 @@ class HostTree:
                     row[y] = row[x] | 1 << y
                     order.append(y)
         return row
-
-    def adjacency(self) -> List[int]:
-        """The tree's neighbourhoods as bitmasks over indices: bit y of
-        adj[x] is set iff vertices[x] and vertices[y] are tree-adjacent."""
-        index = self.index
-        adj = [0] * len(self.vertices)
-        for u, v in self.tree.edges:
-            adj[index[u]] |= 1 << index[v]
-            adj[index[v]] |= 1 << index[u]
-        return adj
 
     def connects(self, nodes: AbstractSet[Vertex]) -> bool:
         """True iff the tree restricted to the non-empty vertex set nodes is

@@ -269,12 +269,16 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
     nodes. Any satisfying assignment can be shrunk to that form (replace
     each subtree by the union of host paths from the vertex, or its first
     node, to one shared node per incident edge), so restricting the search
-    loses nothing. The shared-node candidates of an edge, tried in index
-    order, are the nodes with room for one more guest that both endpoint
-    subtrees reach through such nodes (an empty subtree reaches them all);
-    any other node would put a guest on a full node of one of the two new
-    paths, so only candidates that must fail are skipped. A node on both
-    new paths must also have room for a second guest.
+    loses nothing. The shared node x of an edge is tried in index order.
+    Each endpoint subtree grows by its tree path to x: the path row of the
+    subtree's lowest node, read at x, minus the subtree (a tree has one
+    path from a node to a subtree; an empty subtree grows to x alone). The
+    subtrees are disjoint, so every node of a growth gains a guest and a
+    node of both gains two. x is a candidate iff neither growth holds a
+    full node and their overlap holds no node without room for two; any
+    other x would overfill a node, so only placements that must fail are
+    skipped. Loads are kept bit-sliced: one mask per count k of the nodes
+    holding at least k guests.
 
     After each placement, and once before the first, a look-ahead scans the
     edges still pending (endpoint subtrees disjoint) and cuts the branch by
@@ -297,24 +301,6 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
     return _decide(HostTree(g, host), budget, anchored, minor_min_width(g))
 
 
-def _reach(adj: List[int], s: int, room: int) -> int:
-    """The host nodes in s or joined to it through room, as a bitmask over
-    indices; adj[x] is the bitmask of x's tree neighbours and s a non-empty
-    subtree. A node outside s is in the answer iff every node of its tree
-    path to s, s excluded, is in room: the flood leaves s and steps only
-    onto room nodes, and a tree has one path from a node to a subtree."""
-    reach = frontier = s
-    while frontier:
-        grown = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            grown |= adj[bit.bit_length() - 1]
-        frontier = grown & room & ~reach
-        reach |= frontier
-    return reach
-
-
 def _decide(tree: HostTree, budget: int, anchored: bool,
             bound: int) -> DeciderResult:
     """min_width_on_tree on a checked host, given a lower bound on the
@@ -335,57 +321,44 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     edge_order = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
     epairs = [(index[a], index[b]) for a, b in edge_order]
     m = len(epairs)
-    adj = tree.adjacency()
-    # rows[r]: the host paths to node r, built the first time r is a root.
-    # Growth is read from these rows rather than recorded by _reach: a
-    # flood that stores each reached node's path made the decide-unsat and
-    # decide-sat calls 25-65% slower, while a row is built once per root.
+    # rows[r]: the host paths to node r, built the first time r is the
+    # lowest node of a subtree; growth and candidates are read from them.
     rows: List[Optional[List[int]]] = [None] * n
-
-    def row_of(s: int) -> List[int]:
-        r = (s & -s).bit_length() - 1
-        row = rows[r]
-        if row is None:
-            row = rows[r] = tree.path_row(r)
-        return row
+    path_row = tree.path_row
 
     # The host spans g, so g is connected and the search gives a subtree to
     # every vertex with an edge. An anchored vertex starts in its own node,
     # and so does the lone vertex of a one-vertex g.
     own = anchored or n == 1
-    init = 1 if own else 0
     sub = [1 << i if own else 0 for i in range(n)]
-    loads = [init] * n
     full = (1 << n) - 1
-    le1 = full if init < cap else 0      # nodes that can take one more guest
-    le2 = full if init < cap - 1 else 0  # nodes that can take two more guests
+    # levels[k]: the nodes holding at least k guests, for k = 0..cap; so
+    # levels[cap] has no room for one more and levels[cap - 1] none for two
+    levels = [full, full] + [0] * (cap - 1) if own else [full] + [0] * cap
     nodes = pruned_no_room = pruned_path = 0
 
-    def shift(touched: List[Tuple[int, int]], sign: int) -> None:
-        nonlocal le1, le2
-        for y, d in touched:
-            load = loads[y] = loads[y] + sign * d
-            bit = 1 << y
-            le1 = le1 | bit if load < cap else le1 & ~bit
-            le2 = le2 | bit if load < cap - 1 else le2 & ~bit
-
-    def future_ok(start: int) -> bool:
+    def future_ok(start: int, levels: List[int]) -> bool:
         nonlocal pruned_no_room, pruned_path
-        fulls = full & ~le1
-        if le2 and not fulls:  # neither rule can fire
+        fulls = levels[cap]
+        roomy = levels[cap - 1] != full  # some node has room for two
+        if roomy and not fulls:  # neither rule can fire
             return True
         for j in range(start, m):
             a, b = epairs[j]
             sa, sb = sub[a], sub[b]
             if sa & sb:
                 continue
-            if not (le2 or (sa | sb) & le1):
+            if not (roomy or (sa | sb) & ~fulls):
                 pruned_no_room += 1
                 return False
-            if (sa and sb and row_of(sa)[(sb & -sb).bit_length() - 1]
-                    & fulls & ~(sa | sb)):
-                pruned_path += 1
-                return False
+            if sa and sb:
+                r = (sa & -sa).bit_length() - 1
+                row = rows[r]
+                if row is None:
+                    row = rows[r] = path_row(r)
+                if row[(sb & -sb).bit_length() - 1] & fulls & ~(sa | sb):
+                    pruned_path += 1
+                    return False
         return True
 
     def finish() -> TreeDecomposition:
@@ -399,7 +372,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
             assert _anchored(g, td)
         return td
 
-    def rec(j: int) -> Optional[TreeDecomposition]:
+    def rec(j: int, levels: List[int]) -> Optional[TreeDecomposition]:
         nonlocal nodes
         while j < m and sub[epairs[j][0]] & sub[epairs[j][1]]:
             j += 1
@@ -407,46 +380,45 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
             return finish()
         a, b = epairs[j]
         sa, sb = sub[a], sub[b]
-        # sa and sb are disjoint, so the shared node gains at least one
-        # guest, and so does every other node on a new path: only nodes in
-        # le1 that both subtrees reach through le1 can be the shared node
-        # (an empty subtree grows to the shared node alone)
-        xs = le1
         if sa:
-            xs &= _reach(adj, sa, le1)
-            row_a = row_of(sa)
+            r = (sa & -sa).bit_length() - 1
+            row_a = rows[r]
+            if row_a is None:
+                row_a = rows[r] = path_row(r)
         if sb:
-            xs &= _reach(adj, sb, le1)
-            row_b = row_of(sb)
+            r = (sb & -sb).bit_length() - 1
+            row_b = rows[r]
+            if row_b is None:
+                row_b = rows[r] = path_row(r)
+        fulls, tight = levels[cap], levels[cap - 1]
+        xs = full ^ fulls
         while xs:
             bit = xs & -xs
             xs ^= bit
             x = bit.bit_length() - 1
-            ga = 0 if sa & bit else ((row_a[x] & ~sa) if sa else bit)
-            gb = 0 if sb & bit else ((row_b[x] & ~sb) if sb else bit)
-            # a node on both new paths needs room for two guests
-            if ga & gb & ~le2:
+            # each subtree grows by its path to x (x alone if it is empty);
+            # sa and sb are disjoint, so every node on a new path gains a
+            # guest, and a node on both gains two
+            ga = row_a[x] & ~sa if sa else bit
+            gb = row_b[x] & ~sb if sb else bit
+            if (ga | gb) & fulls or ga & gb & tight:
                 continue
-            touched: List[Tuple[int, int]] = []
-            y = ga | gb
-            while y:
-                yb = y & -y
-                y ^= yb
-                touched.append((yb.bit_length() - 1,
-                                (1 if ga & yb else 0) + (1 if gb & yb else 0)))
             nodes += 1
+            one, two = ga ^ gb, ga & gb
+            grown = [full, levels[1] | ga | gb]
+            for k in range(2, cap + 1):
+                grown.append(levels[k] | levels[k - 1] & one
+                             | levels[k - 2] & two)
             sub[a] = sa | ga
             sub[b] = sb | gb
-            shift(touched, 1)
-            if future_ok(j + 1):
-                witness = rec(j + 1)
+            if future_ok(j + 1, grown):
+                witness = rec(j + 1, grown)
                 if witness is not None:
                     return witness
-            shift(touched, -1)
             sub[a], sub[b] = sa, sb
         return None
 
-    witness = rec(0) if future_ok(0) else None
+    witness = rec(0, levels) if future_ok(0, levels) else None
     return DeciderResult(UNSAT if witness is None else SAT, witness, budget,
                          anchored, nodes, time.perf_counter() - t0, SEARCH,
                          pruned_no_room, pruned_path)

@@ -1,9 +1,10 @@
 """Independent brute-force oracles the fast engines are tested against.
 
 Everything here trades speed for obviousness: subtree-product search over
-explicitly enumerated candidates, subset enumeration for counting, and
-permutation search for treewidth, rng.choice for the spanning-tree walk,
-and relabelling for the reflected tree. None of it shares code with the
+explicitly enumerated candidates, a flood for the decider's candidates,
+subset enumeration for counting, and permutation search for treewidth,
+rng.choice for the spanning-tree walk, and relabelling for the reflected
+tree. None of it shares code with the
 engines under test beyond the basic graph and reflected-tree types and the
 validator.
 """
@@ -164,6 +165,25 @@ def bfs_path(g: Graph, a: str, b: str) -> List[str]:
     return path[::-1]
 
 
+def flood_reach(adj: List[int], s: int, room: int) -> int:
+    """The host nodes in s or joined to it through room, as a bitmask over
+    indices; adj[x] is the bitmask of x's tree neighbours and s a non-empty
+    subtree. A node outside s is in the answer iff every node of its tree
+    path to s, s excluded, is in room: the flood leaves s and steps only
+    onto room nodes, and a tree has one path from a node to a subtree.
+    The reference for the decider's path-row candidate test."""
+    reach = frontier = s
+    while frontier:
+        grown = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            grown |= adj[bit.bit_length() - 1]
+        frontier = grown & room & ~reach
+        reach |= frontier
+    return reach
+
+
 def brute_count_spanning_trees(g: Graph) -> int:
     """Count spanning trees by testing every (n-1)-edge subset."""
     n = len(g)
@@ -191,21 +211,12 @@ def brute_treewidth(g: Graph) -> int:
 def naive_threshold(g: Graph, host: Graph, top_budget: int,
                     anchored: bool) -> int:
     """Least budget in 0..top_budget that naive_decide accepts, else
-    top_budget + 1.
-
-    Soundness rests on monotonicity of the decided property itself: the
-    candidate subtrees are the same at every budget and an assignment
-    accepted under load cap b+1 is accepted under cap b+2, so SAT at b
-    implies SAT at b+1. One call at the top budget therefore settles every
-    budget when it is UNSAT; otherwise an ascending scan locates the
-    threshold, with its priciest UNSAT proof at threshold-1.
-    """
-    if not naive_decide(g, host, top_budget, anchored):
-        return top_budget + 1
-    for b in range(top_budget):
+    top_budget + 1, found by deciding the budgets upward from 0: one SAT
+    call at most, and an UNSAT call for each budget below the answer."""
+    for b in range(top_budget + 1):
         if naive_decide(g, host, b, anchored):
             return b
-    return top_budget
+    return top_budget + 1
 
 
 def choice_spanning_tree(g: Graph, rng: random.Random) -> Graph:

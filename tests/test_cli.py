@@ -316,6 +316,28 @@ class TestSearchCommands:
         assert main(["search", "min-anchored", "--graph", "big.json",
                      "--cap", "13"]) == 0
 
+    def test_min_anchored_manifest_records_the_cap_applied(
+            self, tmp_path, monkeypatch, capsys):
+        """The search's cap is 12 unless --cap sets it; neither
+        TDFORGE_CAP_VERTICES nor a config file does, and the manifest
+        records the cap the search ran under. The level-2 graph has 4
+        vertices."""
+        from tdforge.constructions import reflected_tree
+        write_graph(reflected_tree(2).graph, "g.json")
+        (tmp_path / "caps.cfg").write_text("cap_vertices = 2\n")
+        monkeypatch.setenv("TDFORGE_CAP_VERTICES", "3")
+        for extra, code, cap in (([], 0, 12),
+                                 (["--config", "caps.cfg"], 0, 12),
+                                 (["--cap", "3"], 2, 3),
+                                 (["--cap", "4"], 0, 4)):
+            assert main(["search", "min-anchored", "--graph", "g.json",
+                         "--out", "o.json"] + extra) == code
+            manifest = load_json("o.json.manifest.json")
+            assert manifest["settings"]["cap_vertices"] == cap
+        with pytest.raises(SystemExit):
+            main(["search", "min-anchored", "--help"])
+        assert "(default 12; the" in capsys.readouterr().out
+
     def test_treewidth(self, capsys):
         from tdforge.graphs import complete_graph
         write_graph(complete_graph(4), "k4.json")

@@ -1,5 +1,6 @@
 """Spanning-tree machinery, the width decider, and exact treewidth."""
 
+import hashlib
 import itertools
 import random
 
@@ -37,7 +38,8 @@ from tdforge.search import (
 )
 from generators import oracle_corpus, random_connected_graph, random_tree
 from oracles import (bfs_path, brute_count_spanning_trees, brute_treewidth,
-                     choice_spanning_tree, naive_decide, naive_threshold)
+                     choice_spanning_tree, flood_reach, naive_decide,
+                     naive_threshold)
 
 
 class TestEnumerateSpanningTrees:
@@ -285,6 +287,29 @@ class TestDecider:
                     assert minor_min_width(g) <= want
         assert path_cuts > 0
 
+    def test_level3_search_tree_is_pinned(self):
+        """The decider's search tree on all 96 level-3 trees at anchored
+        budgets 2 and 3 and unanchored budget 3, frozen as totals of nodes
+        and of each look-ahead cut, and a digest of every status and
+        witness. A change that makes search nodes cheaper while visiting
+        the same nodes in the same order keeps all four."""
+        g = reflected_tree(3).graph
+        digest = hashlib.sha256()
+        totals = [0, 0, 0]
+        for t in enumerate_spanning_trees(g):
+            for budget, anchored in ((2, True), (3, True), (3, False)):
+                res = min_width_on_tree(g, t, budget, anchored)
+                assert res.source == SEARCH
+                totals[0] += res.nodes
+                totals[1] += res.pruned_no_room
+                totals[2] += res.pruned_path
+                bags = None if res.witness is None else sorted(
+                    (v, sorted(b)) for v, b in res.witness.bags.items())
+                digest.update(repr((res.status, bags)).encode())
+        assert totals == [147121, 437, 99805]
+        assert digest.hexdigest() == ("8f8ef191e0fcfe061727e7a508895d65"
+                                      "729d80766c27b7079888ace6a5571044")
+
     def test_tree_hosts_itself_at_width_one(self):
         rng = random.Random(11)
         for _ in range(15):
@@ -317,29 +342,35 @@ class TestCandidateFlood:
         """On a random tree, subtree s and room mask: x is reached iff every
         node of its path to the nearest node of s, s excluded, has room, and
         its growth (the path row of any root in s, minus s) is that path
-        minus s. For a second subtree disjoint from s, that row at any of
-        its nodes, minus both subtrees, is the interior of the path between
-        them, which the path look-ahead tests for full nodes."""
+        minus s, so the decider's path-row test (growth within room) picks
+        exactly the nodes the flood reaches. For a second subtree disjoint
+        from s, that row at any of its nodes, minus both subtrees, is the
+        interior of the path between them, which the path look-ahead tests
+        for full nodes; and the nodes with room whose growths towards both
+        subtrees lie in room are those both floods reach."""
         rng = random.Random(seed)
         ids = [f"t{i:02d}" for i in range(n)]
         rng.shuffle(ids)
         t = random_tree(rng, ids)
         host = HostTree(t, t)
         bit = {v: 1 << host.index[v] for v in ids}
+        adj = [sum(bit[w] for w in t.neighbors(v)) for v in host.vertices]
         s = {rng.choice(ids)}
         for _ in range(rng.randrange(n)):
             s.add(rng.choice([w for v in sorted(s) for w in t.neighbors(v)]
                              or sorted(s)))
         room = {v for v in ids if rng.random() < 0.6}
         s_mask = sum(bit[v] for v in s)
-        reach = search._reach(host.adjacency(), s_mask,
-                              sum(bit[v] for v in room))
+        room_mask = sum(bit[v] for v in room)
+        reach = flood_reach(adj, s_mask, room_mask)
         row = host.path_row(host.index[rng.choice(sorted(s))])
         for x in ids:
             path = min((bfs_path(t, x, y) for y in s), key=len)
             outside = [v for v in path if v not in s]
             assert bool(reach & bit[x]) == (set(outside) <= room)
             assert row[host.index[x]] & ~s_mask == sum(bit[v] for v in outside)
+            assert bool(reach & bit[x]) == \
+                (not row[host.index[x]] & ~s_mask & ~room_mask)
         rest = [v for v in ids if v not in s]
         if rest:
             s2 = {rng.choice(rest)}
@@ -348,12 +379,20 @@ class TestCandidateFlood:
                         if w not in s and w not in s2]
                 if grow:
                     s2.add(rng.choice(grow))
-            both = s_mask | sum(bit[v] for v in s2)
+            s2_mask = sum(bit[v] for v in s2)
+            both = s_mask | s2_mask
             between = min((bfs_path(t, x, y) for x in sorted(s)
                            for y in sorted(s2)), key=len)
             y = host.index[rng.choice(sorted(s2))]
             assert row[y] & ~both == sum(bit[v] for v in between
                                          if not bit[v] & both)
+            row2 = host.path_row(host.index[rng.choice(sorted(s2))])
+            picked = sum(bit[x] for x in room
+                         if not ((row[host.index[x]] & ~s_mask)
+                                 | (row2[host.index[x]] & ~s2_mask))
+                         & ~room_mask)
+            assert picked == (room_mask & reach
+                              & flood_reach(adj, s2_mask, room_mask))
 
 
 class TestDecideOverTrees:
