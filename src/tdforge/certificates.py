@@ -10,12 +10,12 @@ into the bag at that edge's endpoint (the hub), so |B_hub| >= r-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .constructions import ReflectedTree
 from .decomposition import TreeDecomposition, _anchored, validate
 from .errors import CertificateContradiction, HypothesisViolated, StructureViolation
-from .graphs import Edge, Graph, HostTree, Matching, Vertex, path_edges
+from .graphs import Edge, Graph, HostTree, Matching, Vertex, edge, path_edges
 
 
 @dataclass(frozen=True)
@@ -31,84 +31,179 @@ class WidthCertificate:
     cycles: Dict[Edge, FrozenSet[Vertex]]
 
 
-def _collect_matching(rt: ReflectedTree, host: HostTree) -> List[Edge]:
-    """The matching edges contributed at rt's level and below.
+class _Side:
+    """One copy of a reflected tree joined to the level's roots u and v:
+    the copy's edge set and order, the two edges that attach it to u and v,
+    the side's members and its edges as indices, the edges in sorted order,
+    and the copy's own plan."""
 
-    host indexes a spanning tree t of the whole reflected tree; only its
-    edges inside rt matter, so the recursion asks host whether t's
-    restriction to a vertex set is connected, and for its components,
-    rather than building restricted subgraphs.
+    __slots__ = ("copy_edges", "copy_order", "attach", "members", "pairs",
+                 "child")
+
+    def __init__(self, copy: ReflectedTree, u: Vertex, v: Vertex,
+                 index: Dict[Vertex, int]):
+        g = copy.graph
+        self.copy_edges = g.edges
+        self.copy_order = len(g)
+        self.attach = (edge(u, copy.roots[0]), edge(v, copy.roots[-1]))
+        self.members = [index[u], index[v]] + [index[x] for x in g.vertices]
+        # the index is sorted, so sorted index pairs are the sorted edges
+        self.pairs = sorted((index[a], index[b])
+                            for a, b in g.edges.union(self.attach))
+        self.child = _Level(copy, index)
+
+
+class _Level:
+    """The plan of one reflected tree: its level, and either its two sides
+    or, at level 2, its edge set."""
+
+    __slots__ = ("level", "sides", "edges")
+
+    def __init__(self, rt: ReflectedTree, index: Dict[Vertex, int]):
+        self.level = rt.level
+        if rt.level == 2:
+            self.sides, self.edges = None, rt.graph.edges
+        else:
+            self.sides = tuple(_Side(c, *rt.roots, index) for c in rt.copies)
+            self.edges = None
+
+
+class MatchingPlan:
+    """What reflected_matching reads at each level of one reflected tree,
+    built once for all the trees one command certifies: for each side
+    (a copy with the level's roots u and v), its size, its edges, its
+    members as indices into the graph's shared index, and its edges in
+    sorted order. Sets and edges are the reflected tree's own objects, so
+    a plan is small (45 KB beside the 379 KB of the level-7 tree), but it
+    still lives only as long as the command that builds it: nothing
+    caches it."""
+
+    __slots__ = ("graph", "_top")
+
+    def __init__(self, rt: ReflectedTree):
+        if rt.level < 2:
+            raise ValueError("certificates need level >= 2")
+        self.graph = rt.graph
+        self._top = _Level(rt, rt.graph.indexed()[1])
+
+
+def _collect_matching(plan: MatchingPlan, host: HostTree) -> List[Edge]:
+    """The matching edges, from the base level up to the top.
+
+    Walks down the levels into whichever copy keeps a connected
+    restriction of the host tree t. t has no cycle, so its restriction to
+    a vertex set is a forest with one component per vertex more than it
+    has edges: a side is connected iff t has one edge fewer inside it than
+    it has vertices, and the disconnected side must have exactly one edge
+    fewer than that (two components). The components are told apart by
+    the tops of the host's parent list, and the crossing edge is the
+    first non-tree edge of the side, in sorted order, whose ends lie in
+    different components.
     """
-    t = host.tree
-    if rt.level == 2:
-        extra = sorted(rt.graph.edges - t.edges)
-        if len(extra) != 1:
+    tedges = host.tree.edges
+    vertices, parent = host.vertices, host._parent
+    crossings: List[Edge] = []
+    level = plan._top
+    while level.sides is not None:
+        inside = []
+        for side in level.sides:
+            au, av = side.attach
+            inside.append(len(tedges & side.copy_edges)
+                          + (au in tedges) + (av in tedges))
+        (left, right), (in_left, in_right) = level.sides, inside
+        conn_left = in_left == left.copy_order + 1
+        conn_right = in_right == right.copy_order + 1
+        if conn_left == conn_right:
             raise StructureViolation(
-                f"level 2 expects exactly one non-tree edge, found {len(extra)}")
-        return extra
-    left, right = rt.copies
-    u, v = rt.roots
-    conn_left = host.connects(left.graph.vertex_set | {u, v})
-    conn_right = host.connects(right.graph.vertex_set | {u, v})
-    if conn_left == conn_right:
+                f"level {level.level}: expected exactly one connected "
+                f"root-augmented restriction, got left={conn_left} "
+                f"right={conn_right}")
+        if conn_left:
+            connected, other, in_other = left, right, in_right
+        else:
+            connected, other, in_other = right, left, in_left
+        comps = other.copy_order + 2 - in_other
+        if comps != 2:
+            raise StructureViolation(
+                f"level {level.level}: disconnected side fell into {comps} "
+                "components, expected 2")
+        top = host.tops(other.members)
+        for i, j in other.pairs:
+            # (i, j) is an edge of the graph, so a tree edge iff one end
+            # is the other's parent
+            if parent[i] != j and parent[j] != i and top[i] != top[j]:
+                crossings.append((vertices[i], vertices[j]))
+                break
+        else:
+            raise StructureViolation(
+                f"level {level.level}: no non-tree edge reconnects the "
+                "disconnected side")
+        # the copy alone: a connected restriction is a spanning tree of it
+        if len(tedges & connected.copy_edges) != connected.copy_order - 1:
+            raise StructureViolation(
+                f"level {level.level}: connected copy restriction is not a "
+                "spanning tree")
+        level = connected.child
+    extra = sorted(level.edges - tedges)
+    if len(extra) != 1:
         raise StructureViolation(
-            f"level {rt.level}: expected exactly one connected root-augmented "
-            f"restriction, got left={conn_left} right={conn_right}")
-    connected_copy = left if conn_left else right
-    other_copy = right if conn_left else left
-    side_vertices = other_copy.graph.vertex_set | {u, v}
-    comps = host.components(side_vertices)
-    if len(comps) != 2:
-        raise StructureViolation(
-            f"level {rt.level}: disconnected side fell into {len(comps)} "
-            "components, expected 2")
-    part = comps[0]
-    candidates = [e for e in rt.graph.edges - t.edges
-                  if e[0] in side_vertices and e[1] in side_vertices
-                  and (e[0] in part) != (e[1] in part)]
-    if not candidates:
-        raise StructureViolation(
-            f"level {rt.level}: no non-tree edge reconnects the disconnected side")
-    crossing = min(candidates)
-    # t has no cycle, so its restriction to the copy is a spanning tree of
-    # the copy exactly when it is connected
-    if not host.connects(connected_copy.graph.vertex_set):
-        raise StructureViolation(
-            f"level {rt.level}: connected copy restriction is not a spanning tree")
-    return _collect_matching(connected_copy, host) + [crossing]
+            f"level 2 expects exactly one non-tree edge, found {len(extra)}")
+    return extra + crossings[::-1]
 
 
-def reflected_matching(rt: ReflectedTree, t: Graph) -> WidthCertificate:
+def reflected_matching(rt: ReflectedTree, t,
+                       plan: Optional[MatchingPlan] = None) -> WidthCertificate:
     """Build the certificate for spanning tree t of the reflected tree rt.
 
-    Recurses into whichever copy keeps a connected restriction, collecting
+    t is a Graph, or a HostTree over rt.graph that the caller has already
+    checked. plan is MatchingPlan(rt); a caller that certifies many trees
+    of rt builds it once and passes it on.
+
+    Walks into whichever copy keeps a connected restriction, collecting
     the missing attachment edge at each level; the base level contributes
     its unique non-tree edge. The common witness edge is recomputed at the
     top: it lies on every fundamental cycle and on the u-v tree path.
     """
     if rt.level < 2:
         raise ValueError("certificates need level >= 2")
-    try:
-        host = HostTree(rt.graph, t)
-    except ValueError:
-        raise ValueError("t is not a spanning tree of the reflected tree") from None
-    matching_edges = _collect_matching(rt, host)
-    cycles = {e: host.cycle(e) for e in matching_edges}
+    if isinstance(t, HostTree):
+        host = t
+        if host.graph is not rt.graph and host.graph != rt.graph:
+            raise ValueError("t is not a spanning tree of the reflected tree")
+    else:
+        try:
+            host = HostTree(rt.graph, t)
+        except ValueError:
+            raise ValueError(
+                "t is not a spanning tree of the reflected tree") from None
+    if plan is None:
+        plan = MatchingPlan(rt)
+    elif plan.graph is not rt.graph and plan.graph != rt.graph:
+        raise ValueError("plan is for another reflected tree")
+    matching_edges = _collect_matching(plan, host)
+    index, vertices, parent = host.index, host.vertices, host._parent
+    # tree edges are named by their lower ends, the u-v path's and each
+    # cycle's alike, so the common edges are one set intersection
     u, v = rt.roots
-    common = path_edges(host.path(u, v))
-    for cyc in cycles.values():
-        common = common & cyc.edges
+    common = host._below(index[u], index[v])[0]
+    cycles = {}
+    for e in matching_edges:
+        below, top = host._below(index[e[0]], index[e[1]])
+        cycles[e] = frozenset([vertices[x] for x in below] + [vertices[top]])
+        common &= below
     if not common:
         raise StructureViolation(
             "no common edge on the u-v path across all fundamental cycles")
-    witness = min(common)
+    # the index is sorted, so the least index pair names the least edge
+    a, b = min((x, parent[x]) if x < parent[x] else (parent[x], x)
+               for x in common)
     return WidthCertificate(
         level=rt.level,
-        host=t,
+        host=host.tree,
         matching=Matching(frozenset(matching_edges)),
-        hub=min(witness),
-        witness_edge=witness,
-        cycles={e: c.vertices for e, c in cycles.items()},
+        hub=vertices[a],
+        witness_edge=(vertices[a], vertices[b]),
+        cycles=cycles,
     )
 
 
@@ -124,8 +219,11 @@ class CertificateCheck:
 def verify_certificate(rt: ReflectedTree, cert: WidthCertificate) -> CertificateCheck:
     """Recheck every certificate invariant from scratch.
 
-    Returns a falsy report with reasons instead of raising, so tampered
-    certificates are diagnosed rather than rejected with an exception.
+    The host is checked again by a HostTree of its own (over the graph's
+    shared index), and cycles and the u-v path are named edge sets: a
+    second route beside reflected_matching's plan. Returns a falsy report
+    with reasons instead of raising, so tampered certificates are
+    diagnosed rather than rejected with an exception.
     """
     reasons = []
     if cert.level != rt.level:

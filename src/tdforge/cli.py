@@ -20,13 +20,14 @@ from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__, io
-from .certificates import bag_lower_bound, reflected_matching, verify_certificate
+from .certificates import (MatchingPlan, bag_lower_bound, reflected_matching,
+                           verify_certificate)
 from .constructions import (DEFAULT_CAP, attach_gadgets, gadget_schedule,
                             reflected_tree, toy_schedule)
 from .decomposition import _anchored, validate
 from .errors import (CapExceeded, CertificateContradiction, ReductionInvalid,
                      ScheduleTooLarge, SizeExceeded, TdforgeError)
-from .graphs import Graph
+from .graphs import Graph, HostTree
 from .search import (count_spanning_trees, decide_over_trees,
                      enumerate_spanning_trees, exact_treewidth,
                      min_anchored_spanning_width, min_width_on_tree,
@@ -252,13 +253,15 @@ def cmd_certify(run: Run, args) -> int:
         if total > run.settings.enum_cap:
             raise CapExceeded(total, run.settings.enum_cap,
                               "spanning tree enumeration")
-        certs = [io.certificate_to_obj(reflected_matching(rt, t))
+        plan = MatchingPlan(rt)
+        certs = [io.certificate_to_obj(reflected_matching(rt, t, plan))
                  for t in enumerate_spanning_trees(rt.graph)]
         run.write({"mode": "all", "count": len(certs), "certificates": certs},
                   args.out)
         return EXIT_OK
     count = args.sample if args.sample is not None else DEFAULT_SAMPLE
-    certs = [io.certificate_to_obj(reflected_matching(rt, t))
+    plan = MatchingPlan(rt)
+    certs = [io.certificate_to_obj(reflected_matching(rt, t, plan))
              for t in sample_spanning_trees(rt.graph, count, seed=run.seed)]
     run.write({"mode": "sampled", "count": count, "seed": run.seed,
                "certificates": certs}, args.out)
@@ -398,17 +401,20 @@ def cmd_pipeline(run: Run, args) -> int:
         trees = sample_spanning_trees(core.graph, DEFAULT_SAMPLE, seed=run.seed)
 
     def certified(trees):
-        """Pass every tree on, certifying each until the first failure."""
+        """Pass every tree on as a checked HostTree, certifying each until
+        the first failure."""
+        plan = MatchingPlan(core)
         count: Optional[int] = 0
         for t in trees:
+            host = HostTree(core.graph, t)
             if count is not None:
-                cert = reflected_matching(core, t)
+                cert = reflected_matching(core, host, plan)
                 if len(cert.matching) == k + 1 and verify_certificate(core, cert):
                     count += 1
                 else:
                     record("certificates", False, tree=sorted(t.edges))
                     count = None
-            yield t
+            yield host
         if count is not None:
             record("certificates", True, level=k + 2, matching_size=k + 1,
                    certified=count, **mode)
@@ -589,10 +595,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:  # built at the first call, not at import
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     run = Run(["tdforge"] + argv, args)
     code, error = EXIT_CHECK_FAILED, None  # as for an uncaught exception
     try:

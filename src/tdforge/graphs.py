@@ -31,7 +31,7 @@ class Graph:
     form a set).
     """
 
-    __slots__ = ("_vertices", "_vset", "_edges", "_adj")
+    __slots__ = ("_vertices", "_vset", "_edges", "_adj", "_index")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable = ()):
         vs = tuple(vertices)
@@ -43,19 +43,17 @@ class Graph:
                 raise ValueError(f"duplicate vertex {v!r}")
             vset.add(v)
         es = set()
-        adj: Dict[Vertex, set] = {v: set() for v in vs}
         for pair in edges:
             u, v = pair
             e = edge(u, v)
             if e[0] not in vset or e[1] not in vset:
                 raise ValueError(f"edge {e!r} has an undeclared endpoint")
             es.add(e)
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
         self._vertices = vs
         self._vset = frozenset(vset)
         self._edges = frozenset(es)
-        self._adj = {v: tuple(sorted(adj[v])) for v in vs}
+        self._adj = None  # neighbour tuples, built when first asked for
+        self._index = None
 
     @property
     def vertices(self) -> Tuple[Vertex, ...]:
@@ -69,6 +67,16 @@ class Graph:
     def edges(self) -> FrozenSet[Edge]:
         return self._edges
 
+    def indexed(self) -> Tuple[List[Vertex], Dict[Vertex, int]]:
+        """The vertices in sorted order and each one's position in it,
+        computed on first use. Every tree built by _spanning_subgraph shares
+        this graph's pair, so HostTree and the samplers never sort again.
+        Both are shared: read them, never change them."""
+        if self._index is None:
+            vertices = sorted(self._vertices)
+            self._index = (vertices, {v: i for i, v in enumerate(vertices)})
+        return self._index
+
     def __len__(self) -> int:
         return len(self._vertices)
 
@@ -76,10 +84,25 @@ class Graph:
         return v in self._vset
 
     def neighbors(self, v: Vertex) -> Tuple[Vertex, ...]:
-        return self._adj[v]
+        adj = self._adj
+        if adj is None:
+            adj = self._adjacency()
+        return adj[v]
 
     def degree(self, v: Vertex) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
+
+    def _adjacency(self) -> Dict[Vertex, Tuple[Vertex, ...]]:
+        """Each vertex's sorted neighbour tuple, built and kept on first
+        use."""
+        adj: Dict[Vertex, list] = {v: [] for v in self._vertices}
+        for a, b in self._edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        for ws in adj.values():
+            ws.sort()
+        self._adj = {v: tuple(ws) for v, ws in adj.items()}
+        return self._adj
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return edge(u, v) in self._edges
@@ -97,20 +120,14 @@ class Graph:
     def _spanning_subgraph(self, edges: Iterable[Edge]) -> "Graph":
         """The graph on all of this graph's vertices with the given edges,
         built without checks: the caller guarantees that every edge is a
-        canonical edge (a, b), a < b, of this graph. The vertex tuple and
-        set are shared with this graph."""
-        es = frozenset(edges)
-        adj: Dict[Vertex, list] = {v: [] for v in self._vertices}
-        for a, b in es:
-            adj[a].append(b)
-            adj[b].append(a)
-        for ws in adj.values():
-            ws.sort()
+        canonical edge (a, b), a < b, of this graph. The vertex tuple, the
+        vertex set and the index are shared with this graph."""
         sub = Graph.__new__(Graph)
         sub._vertices = self._vertices
         sub._vset = self._vset
-        sub._edges = es
-        sub._adj = {v: tuple(ws) for v, ws in adj.items()}
+        sub._edges = frozenset(edges)
+        sub._adj = None
+        sub._index = self.indexed()
         return sub
 
     def __eq__(self, other) -> bool:
@@ -200,35 +217,45 @@ class Cycle:
 class HostTree:
     """A spanning tree t of a graph g, checked once and indexed for paths.
 
-    Construction checks that t is a spanning tree of g, numbers its vertices
-    in sorted order (vertices, index) and roots it at index 0, recording
-    each index's parent and depth in one traversal. Path and cycle queries
-    then climb from both ends to the common ancestor, in time linear in the
-    answer's length, without re-checking the tree. path_row gives the paths
-    from every index to one index as bitmasks over the same index; connects
-    and components read from the parent list whether the tree's restriction
-    to a vertex set is connected, and its components.
+    Construction checks that t is a spanning tree of g and takes g's shared
+    index (vertices in sorted order, and index), so only the traversal is
+    left: over t's edges as index pairs, rooted at index 0, it records each
+    index's neighbours, parent and depth. Path and cycle queries then climb
+    from both ends to the common ancestor, in time linear in the answer's
+    length, without re-checking the tree. path_row gives the paths from
+    every index to one index as bitmasks over the same index; connects,
+    components and tops read from the parent list whether the tree's
+    restriction to a vertex set is connected, and its components.
     """
 
-    __slots__ = ("graph", "tree", "vertices", "index", "_parent", "_depth")
+    __slots__ = ("graph", "tree", "vertices", "index", "_nbrs", "_parent",
+                 "_depth")
 
     def __init__(self, g: Graph, t: Graph):
-        if (t.vertex_set != g.vertex_set or not t.edges <= g.edges
-                or len(t.edges) != len(t) - 1):
+        if ((t.vertex_set is not g.vertex_set and t.vertex_set != g.vertex_set)
+                or not t.edges <= g.edges or len(t.edges) != len(t) - 1):
             raise ValueError("host is not a spanning tree of g")
-        vertices = sorted(t.vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        parent = [-1] * len(vertices)
-        depth = [0] * len(vertices)
+        vertices, index = g.indexed()
+        n = len(vertices)
+        # neighbours as indices, from t's edges: t's own adjacency is never
+        # read, so a sampled tree need not build it
+        nbrs: List[List[int]] = [[] for _ in range(n)]
+        for a, b in t.edges:
+            i, j = index[a], index[b]
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        parent = [-1] * n
+        depth = [0] * n
         parent[0] = 0
         order = [0]
+        append = order.append
         for x in order:
-            for w in t.neighbors(vertices[x]):
-                y = index[w]
+            d = depth[x] + 1
+            for y in nbrs[x]:
                 if parent[y] < 0:
                     parent[y] = x
-                    depth[y] = depth[x] + 1
-                    order.append(y)
+                    depth[y] = d
+                    append(y)
         # n-1 edges and connected: a tree
         if len(order) != len(vertices):
             raise ValueError("host is not a spanning tree of g")
@@ -236,6 +263,7 @@ class HostTree:
         self.tree = t
         self.vertices = vertices
         self.index = index
+        self._nbrs = nbrs
         self._parent = parent
         self._depth = depth
 
@@ -258,6 +286,25 @@ class HostTree:
         up.extend(reversed(down))
         return up
 
+    def _below(self, i: int, j: int) -> Tuple[Set[int], int]:
+        """The tree path between indices i and j as the set of its indices
+        below its top (the common ancestor), each of which names its parent
+        edge, and that top."""
+        depth, parent = self._depth, self._parent
+        below = set()
+        while depth[i] > depth[j]:
+            below.add(i)
+            i = parent[i]
+        while depth[j] > depth[i]:
+            below.add(j)
+            j = parent[j]
+        while i != j:
+            below.add(i)
+            below.add(j)
+            i = parent[i]
+            j = parent[j]
+        return below, i
+
     def path(self, a: Vertex, b: Vertex) -> List[Vertex]:
         """The unique tree path from a to b, as a vertex list; [a] when a == b."""
         index = self.index
@@ -270,13 +317,12 @@ class HostTree:
         """The tree paths from every index to index j as bitmasks over
         indices: bit y of row[x] is set iff vertices[y] is on the path from
         vertices[x] to vertices[j]."""
-        vertices, index, tree = self.vertices, self.index, self.tree
-        row = [0] * len(vertices)
+        nbrs = self._nbrs
+        row = [0] * len(nbrs)
         row[j] = 1 << j
         order = [j]
         for x in order:
-            for w in tree.neighbors(vertices[x]):
-                y = index[w]
+            for y in nbrs[x]:
                 if not row[y]:
                     row[y] = row[x] | 1 << y
                     order.append(y)
@@ -293,17 +339,24 @@ class HostTree:
 
     def components(self, nodes: AbstractSet[Vertex]) -> List[Set[Vertex]]:
         """The vertex sets of the components of the tree restricted to the
-        vertex set nodes. Each component has one top, its member nearest the
-        root: the root itself, or a member whose parent is outside nodes.
-        Members are visited by depth, so every other member joins its
-        parent's component after the parent has joined one."""
-        index, parent, vertices = self.index, self._parent, self.vertices
-        top: Dict[int, int] = {}
+        vertex set nodes (see tops)."""
+        index, vertices = self.index, self.vertices
         comps: Dict[int, Set[Vertex]] = {}
-        for i in sorted([index[v] for v in nodes], key=self._depth.__getitem__):
-            top[i] = t = top.get(parent[i], i)
-            comps.setdefault(t, set()).add(vertices[i])
+        for i, top in self.tops([index[v] for v in nodes]).items():
+            comps.setdefault(top, set()).add(vertices[i])
         return list(comps.values())
+
+    def tops(self, members: Iterable[int]) -> Dict[int, int]:
+        """Each of the indices members, mapped to the top of its component
+        in the tree restricted to members. A component's top is its member
+        nearest the root: the root itself, or a member whose parent is not
+        a member. Members are visited by depth, so every other member takes
+        its parent's top after the parent has taken one."""
+        parent = self._parent
+        top: Dict[int, int] = {}
+        for i in sorted(members, key=self._depth.__getitem__):
+            top[i] = top.get(parent[i], i)
+        return top
 
     def cycle(self, e) -> Cycle:
         """The unique cycle closed by the non-tree edge e of g."""
@@ -312,8 +365,14 @@ class HostTree:
             raise ValueError(f"{(u, v)!r} is not an edge of g")
         if (u, v) in self.tree.edges:
             raise ValueError(f"{(u, v)!r} is a tree edge")
-        path = self.path(u, v)
-        return Cycle(frozenset(path), path_edges(path) | {(u, v)})
+        vertices, parent = self.vertices, self._parent
+        below, top = self._below(self.index[u], self.index[v])
+        # the index is sorted, so the lower index names the lower end
+        edges = {(vertices[x], vertices[parent[x]]) if x < parent[x]
+                 else (vertices[parent[x]], vertices[x]) for x in below}
+        edges.add((u, v))
+        return Cycle(frozenset([vertices[x] for x in below] + [vertices[top]]),
+                     frozenset(edges))
 
 
 def tree_path(t: Graph, a: Vertex, b: Vertex) -> List[Vertex]:

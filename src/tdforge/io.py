@@ -7,6 +7,7 @@ order is preserved where it is meaningful, everything else is sorted.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
@@ -21,11 +22,12 @@ def json_text(obj) -> str:
     With an indent, json.dumps runs the stdlib's pure-Python encoder, which
     yields every bracket, separator and scalar as a chunk of its own. This
     writer builds one string per container and escapes strings with the C
-    escaper json.dumps uses under ensure_ascii. json.dumps itself spells
-    the other scalars and the dict keys that are not strings, and raises
-    its TypeError on what it cannot serialize. A container that holds
-    itself exhausts the recursion limit instead of raising json's
-    ValueError.
+    escaper json.dumps uses under ensure_ascii; a list of string pairs is
+    one format string filled with all its escaped strings. json.dumps
+    itself spells the other scalars and the dict keys that are not
+    strings, and raises its TypeError on what it cannot serialize. A
+    container that holds itself exhausts the recursion limit instead of
+    raising json's ValueError.
     """
     return _text(obj, "\n")
 
@@ -39,10 +41,13 @@ def _text(o, pad: str) -> str:
         if not o:
             return "[]"
         inner = pad + "  "
+        sep = "," + inner
         try:
-            body = ("," + inner).join(map(_string, o))
+            body = sep.join(map(_string, o))
         except TypeError:  # an item that is not a string
-            body = ("," + inner).join([_text(x, inner) for x in o])
+            body = _pairs_text(o, inner)
+            if body is None:
+                body = sep.join([_text(x, inner) for x in o])
         return "[" + inner + body + pad + "]"
     if isinstance(o, dict):
         if not o:
@@ -51,6 +56,24 @@ def _text(o, pad: str) -> str:
         return "{" + inner + ("," + inner).join([
             _key(k) + ": " + _text(v, inner) for k, v in o.items()]) + pad + "}"
     return json.dumps(o)
+
+
+_SEQUENCES = frozenset([list, tuple])
+
+
+def _pairs_text(o, pad: str):
+    """The items of o joined as _text writes them at the depth of pad, when
+    every item is a list or tuple of two strings; else None. One format
+    string, a pair's text repeated, takes every escaped string at once."""
+    if not _SEQUENCES.issuperset(map(type, o)) or set(map(len, o)) != {2}:
+        return None
+    try:
+        strings = tuple(map(_string, chain.from_iterable(o)))
+    except TypeError:  # an item that is not a string
+        return None
+    inner = pad + "  "
+    pair = "[" + inner + "%s," + inner + "%s" + pad + "]"
+    return ("," + pad).join([pair] * len(o)) % strings
 
 
 def _key(k) -> str:

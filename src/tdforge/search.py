@@ -53,9 +53,8 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[Graph]:
     """
     if not is_connected(g):
         raise ValueError("need a connected graph")
-    verts = g.vertices
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
+    n = len(g)
+    index = g.indexed()[1]
     edges = sorted(g.edges)
     pairs = [(index[a], index[b]) for a, b in edges]
     m = len(edges)
@@ -161,31 +160,33 @@ def count_spanning_trees(g: Graph, pivot_order: Optional[List[Vertex]] = None) -
 
 def _wilson(g: Graph) -> Callable[[random.Random], Graph]:
     """A sampler of uniformly random spanning trees of g (Wilson's
-    loop-erased random walk); g is checked to be connected and indexed once
-    for all the sampler's draws.
+    loop-erased random walk); g is checked to be connected once for all
+    the sampler's draws.
 
-    The walk runs over integer neighbour lists and emits canonical edges of
-    g, so each tree is built without checks. Each step draws as
-    rng.choice over the neighbour tuple does: getrandbits of the length's
-    bit_length, redrawn while not below the length. So the random stream,
-    and every tree drawn from it, is the one rng.choice would give.
+    The walk runs over integer neighbour lists on g's shared index and
+    emits canonical edges of g, so each tree is built without checks. It
+    starts from g.vertices[0] and walks from the other vertices in
+    g.vertices order. Each step draws as rng.choice over the neighbour
+    tuple does: getrandbits of the length's bit_length, redrawn while not
+    below the length. So the random stream, and every tree drawn from it,
+    is the one rng.choice would give.
     """
     if not is_connected(g):
         raise ValueError("need a connected graph")
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
+    verts, index = g.indexed()
     nbrs = [[index[w] for w in g.neighbors(v)] for v in verts]
     lens = [len(a) for a in nbrs]
     bits = [m.bit_length() for m in lens]
+    root, *starts = [index[v] for v in g.vertices]
     n = len(verts)
 
     def draw(rng: random.Random) -> Graph:
         getrandbits = rng.getrandbits
         in_tree = [False] * n
-        in_tree[0] = True
+        in_tree[root] = True
         nxt = [0] * n
         edges = []
-        for v in range(1, n):
+        for v in starts:
             u = v
             while not in_tree[u]:
                 m, k = lens[u], bits[u]
@@ -198,8 +199,9 @@ def _wilson(g: Graph) -> Callable[[random.Random], Graph]:
             while not in_tree[u]:
                 in_tree[u] = True
                 w = nxt[u]
-                a, b = verts[u], verts[w]
-                edges.append((a, b) if a < b else (b, a))
+                # sorted index: the smaller index names the smaller vertex
+                edges.append((verts[u], verts[w]) if u < w
+                             else (verts[w], verts[u]))
                 u = w
         return g._spanning_subgraph(edges)
 
@@ -424,16 +426,22 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
                          pruned_no_room, pruned_path)
 
 
-def decide_over_trees(g: Graph, trees: Iterable[Graph], budget: int,
+def decide_over_trees(g: Graph, trees: Iterable, budget: int,
                       anchored: bool) -> Iterator[DeciderResult]:
     """Run the decider over many host trees of g, lazily and in order.
 
-    minor_min_width(g) is computed once per sweep. Below it every host is
-    still checked, but nothing is searched. Each result keeps its witness.
+    Each tree is a spanning tree of g, as a Graph or as a HostTree over g
+    that the caller has already checked. minor_min_width(g) is computed
+    once per sweep. Below it every host is still checked, but nothing is
+    searched. Each result keeps its witness.
     """
     bound = minor_min_width(g)
     for t in trees:
-        yield _decide(HostTree(g, t), budget, anchored, bound)
+        if not isinstance(t, HostTree):
+            t = HostTree(g, t)
+        elif t.graph is not g and t.graph != g:
+            raise ValueError("host tree is over another graph")
+        yield _decide(t, budget, anchored, bound)
 
 
 def min_anchored_spanning_width(g: Graph, cap_vertices: int = 12

@@ -3,19 +3,22 @@
 Everything here trades speed for obviousness: subtree-product search over
 explicitly enumerated candidates, a flood for the decider's candidates,
 subset enumeration for counting, and permutation search for treewidth,
-rng.choice for the spanning-tree walk, and relabelling for the reflected
-tree. None of it shares code with the
+rng.choice for the spanning-tree walk, relabelling for the reflected
+tree, and name-set recursion with breadth-first search for the
+certificate. None of it shares code with the
 engines under test beyond the basic graph and reflected-tree types and the
 validator.
 """
 
 import itertools
 import random
-from typing import Dict, FrozenSet, Iterator, List
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from tdforge.constructions import ReflectedTree
 from tdforge.decomposition import from_subtrees, is_anchored, validate
-from tdforge.graphs import Graph, Vertex, is_connected, is_spanning_tree
+from tdforge.errors import StructureViolation
+from tdforge.graphs import (Edge, Graph, Vertex, component_in, connected_in,
+                            is_connected, is_spanning_tree, path_edges)
 
 
 def enumerate_induced_subtrees(t: Graph, anchor: str) -> Iterator[FrozenSet[str]]:
@@ -273,3 +276,61 @@ def relabelled_reflected_tree(r: int) -> ReflectedTree:
     edges += [("u", left.roots[0]), ("u", right.roots[0]),
               ("v", left.roots[-1]), ("v", right.roots[-1])]
     return ReflectedTree(Graph(vertices, edges), r, ("u", "v"), (left, right))
+
+
+def reference_matching(rt: ReflectedTree, t: Graph
+                       ) -> Tuple[List[Edge], Vertex, Edge,
+                                  Dict[Edge, FrozenSet[Vertex]]]:
+    """The matching (base level first), hub, witness edge and cycle vertex
+    sets that reflected_matching must return for the spanning tree t of
+    rt, by the name-set recursion: at each level, the side (a copy with
+    the roots u and v) on which t is connected is found by breadth-first
+    search, the other side's two components likewise, and the crossing
+    edge is the least non-tree edge of that side joining them. Cycles and
+    the u-v path are breadth-first tree paths. Refuses as
+    reflected_matching does."""
+    if rt.level < 2:
+        raise ValueError("certificates need level >= 2")
+    if not is_spanning_tree(rt.graph, t):
+        raise ValueError("t is not a spanning tree of the reflected tree")
+
+    def collect(rt: ReflectedTree) -> List[Edge]:
+        if rt.level == 2:
+            extra = sorted(rt.graph.edges - t.edges)
+            if len(extra) != 1:
+                raise StructureViolation("level 2: not one non-tree edge")
+            return extra
+        left, right = rt.copies
+        u, v = rt.roots
+        conn_left = connected_in(t, left.graph.vertex_set | {u, v})
+        conn_right = connected_in(t, right.graph.vertex_set | {u, v})
+        if conn_left == conn_right:
+            raise StructureViolation(f"level {rt.level}: not one connected side")
+        connected, other = (left, right) if conn_left else (right, left)
+        side = other.graph.vertex_set | {u, v}
+        comps, rest = [], set(side)
+        while rest:
+            comps.append(component_in(t, rest, min(rest)))
+            rest -= comps[-1]
+        if len(comps) != 2:
+            raise StructureViolation(f"level {rt.level}: not two components")
+        part = comps[0]
+        candidates = [e for e in rt.graph.edges - t.edges
+                      if e[0] in side and e[1] in side
+                      and (e[0] in part) != (e[1] in part)]
+        if not candidates:
+            raise StructureViolation(f"level {rt.level}: no crossing edge")
+        if not connected_in(t, connected.graph.vertex_set):
+            raise StructureViolation(f"level {rt.level}: copy not spanned")
+        return collect(connected) + [min(candidates)]
+
+    matching = collect(rt)
+    paths = {e: bfs_path(t, *e) for e in matching}
+    common = path_edges(bfs_path(t, *rt.roots))
+    for p in paths.values():
+        common = common & path_edges(p)
+    if not common:
+        raise StructureViolation("no common edge")
+    witness = min(common)
+    return (matching, min(witness), witness,
+            {e: frozenset(p) for e, p in paths.items()})

@@ -1,10 +1,13 @@
 """Spanning-tree width certificates: construction, verification, readout."""
 
 import dataclasses
+import itertools
 
 import pytest
 
+from oracles import reference_matching
 from tdforge.certificates import (
+    MatchingPlan,
     WidthCertificate,
     bag_lower_bound,
     reflected_matching,
@@ -13,8 +16,9 @@ from tdforge.certificates import (
 from tdforge.constructions import reflected_tree
 from tdforge.decomposition import TreeDecomposition, is_anchored, validate
 from tdforge.errors import HypothesisViolated
-from tdforge.graphs import Graph, Matching, path_edges, tree_path
-from tdforge.search import enumerate_spanning_trees, min_width_on_tree
+from tdforge.graphs import Graph, HostTree, Matching, path_edges, tree_path
+from tdforge.search import (enumerate_spanning_trees, min_width_on_tree,
+                            sample_spanning_trees)
 
 RT2 = reflected_tree(2)
 ALL4 = frozenset({"L.u", "R.u", "u", "v"})
@@ -68,6 +72,68 @@ class TestReflectedMatching:
         not_spanning = Graph(RT2.graph.vertices, [("L.u", "u"), ("R.u", "u")])
         with pytest.raises(ValueError):
             reflected_matching(RT2, not_spanning)
+
+
+def assert_matches_reference(rt, trees):
+    """reflected_matching, with one plan for all trees, returns what the
+    name-set reference returns: matching, hub, witness edge and cycles."""
+    plan = MatchingPlan(rt)
+    count = 0
+    for t in trees:
+        matching, hub, witness, cycles = reference_matching(rt, t)
+        cert = reflected_matching(rt, t, plan)
+        assert cert.matching.edges == frozenset(matching)
+        assert (cert.hub, cert.witness_edge) == (hub, witness)
+        assert cert.cycles == cycles
+        assert cert.host is t
+        count += 1
+    return count
+
+
+class TestAgainstReference:
+    def test_all_level3_trees(self):
+        rt = reflected_tree(3)
+        assert assert_matches_reference(
+            rt, enumerate_spanning_trees(rt.graph)) == 96
+
+    def test_every_64th_level4_tree(self):
+        rt = reflected_tree(4)
+        trees = itertools.islice(enumerate_spanning_trees(rt.graph), 0, None, 64)
+        assert assert_matches_reference(rt, trees) == 1008
+
+    @pytest.mark.parametrize("level", [5, 6, 7])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampled_trees(self, level, seed):
+        rt = reflected_tree(level)
+        trees = sample_spanning_trees(rt.graph, 25, seed=seed)
+        assert assert_matches_reference(rt, trees) == 25
+
+    def test_host_tree_input(self):
+        """A checked HostTree gives the certificate its Graph gives."""
+        rt = reflected_tree(4)
+        plan = MatchingPlan(rt)
+        for t in sample_spanning_trees(rt.graph, 20, seed=4):
+            assert (reflected_matching(rt, HostTree(rt.graph, t), plan)
+                    == reflected_matching(rt, t))
+
+    def test_refusals_match(self):
+        """A non-spanning tree, and a tree of another level, are refused
+        with the reference's ValueError, as a Graph and (for the tree of
+        another level) as a HostTree; so is a plan of another level."""
+        rt4, rt5 = reflected_tree(4), reflected_tree(5)
+        t4 = next(iter(sample_spanning_trees(rt4.graph, 1, seed=1)))
+        not_spanning = Graph(rt4.graph.vertices, sorted(t4.edges)[1:])
+        for rt, t in [(rt4, not_spanning), (rt5, t4)]:
+            with pytest.raises(ValueError) as want:
+                reference_matching(rt, t)
+            with pytest.raises(ValueError) as got:
+                reflected_matching(rt, t, MatchingPlan(rt))
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got:
+            reflected_matching(rt5, HostTree(rt4.graph, t4))
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="another reflected tree"):
+            reflected_matching(rt4, t4, MatchingPlan(rt5))
 
 
 class TestVerifyCertificate:

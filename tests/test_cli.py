@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -95,6 +96,81 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--r", "2", "--all", "--sample", "3"])
         assert exc.value.code == 2
+
+
+_SUBCOMMANDS = [[], ["construct"], ["construct", "reflected-tree"],
+                ["construct", "gadget"], ["schedule"], ["transform"],
+                ["transform", "minor-to-spanning"], ["transform", "reduce"],
+                ["certify"], ["audit"], ["search"], ["search", "decide"],
+                ["search", "min-anchored"], ["search", "tw"],
+                ["search", "spanning"], ["verify"], ["pipeline"], ["export"]]
+
+
+class TestParserBuiltOnce:
+    @pytest.mark.parametrize("words", _SUBCOMMANDS, ids=" ".join)
+    def test_help_equals_a_fresh_parsers(self, words, capsys):
+        """--help through main's parser, after other runs, is byte for
+        byte the help of a parser built afresh."""
+        from tdforge import cli
+        main(["schedule", "--k", "1", "--n", "1"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(words + ["--help"])
+        assert exc.value.code == 0
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(words + ["--help"])
+        want = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+        assert got.out.startswith("usage: tdforge")
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        from tdforge import cli
+        built = []
+        fresh = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or fresh())
+        for _ in range(3):
+            main(["schedule", "--k", "1", "--n", "1"])
+        assert built == [1]
+
+    def test_runs_in_one_process_equal_runs_alone(self):
+        """certify, a usage error, pipeline --k 1 and certify again, run in
+        one process, give the bytes and exit codes each gives alone."""
+        runs = [["certify", "--r", "4", "--sample", "3", "--seed", "2"],
+                ["certify", "--r", "0", "--all"],
+                ["pipeline", "--k", "1"],
+                ["certify", "--r", "3", "--all"]]
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        script = ("import sys\nfrom tdforge.cli import main\n"
+                  "for i, argv in enumerate(%r):\n"
+                  "    code = main(argv + ['--out', 'together%%d.json' %% i])\n"
+                  "    print('exit', code, file=sys.stderr)\n"
+                  "    sys.stderr.flush()\n" % (runs,))
+        together = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+        assert together.returncode == 0, together.stderr
+        alone_err = ""
+        for i, argv in enumerate(runs):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tdforge.cli", *argv,
+                 "--out", f"alone{i}.json"],
+                capture_output=True, text=True, env=env, timeout=120)
+            alone_err += proc.stderr + f"exit {proc.returncode}\n"
+            assert os.path.exists(f"alone{i}.json") == (i != 1)
+            if i != 1:
+                with open(f"alone{i}.json", "rb") as a, \
+                        open(f"together{i}.json", "rb") as b:
+                    assert a.read() == b.read()
+        assert not os.path.exists("together1.json")
+        assert together.stderr == alone_err
+        assert [line for line in alone_err.splitlines()
+                if line.startswith("exit")] == [
+            "exit 0", "exit 2", "exit 0", "exit 0"]
 
 
 class TestConstruct:
@@ -436,6 +512,24 @@ class TestPipeline:
 
     def test_rejects_bad_k(self, capsys):
         assert main(["pipeline", "--k", "0"]) == 2
+
+    def test_one_shared_host_tree_per_tree(self, capsys, monkeypatch):
+        """pipeline --k 1 builds two HostTrees per tree: the one it checks
+        and hands to both the certificate and the decider, and the one
+        verify_certificate builds as the second route."""
+        from tdforge.graphs import HostTree
+        built = []
+        init = HostTree.__init__
+
+        def counting(self, g, t):
+            built.append(t)
+            init(self, g, t)
+
+        monkeypatch.setattr(HostTree, "__init__", counting)
+        assert main(["pipeline", "--k", "1"]) == 0
+        # built keeps every tree alive, so ids are distinct: 96 trees, each
+        # checked twice
+        assert sorted(Counter(map(id, built)).values()) == [2] * 96
 
     def test_failed_checks_keep_their_order(self, capsys, monkeypatch):
         """The fifth certificate fails and the third tree decides SAT: both

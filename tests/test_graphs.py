@@ -261,6 +261,66 @@ class TestHostTree:
             HostTree(square_plus, square_plus)
 
 
+class TestSharedIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=9),
+           st.integers(min_value=0, max_value=2 ** 31), st.data())
+    def test_host_tree_equals_a_from_scratch_build(self, n, seed, data):
+        """HostTree over g's shared index equals a HostTree built from
+        scratch, over fresh copies of g and t with their own index, in
+        every field and every query."""
+        rng = random.Random(seed)
+        vs = [f"x{i}" for i in range(n)]
+        rng.shuffle(vs)  # vertex order is not sorted order
+        g = random_connected_graph(rng, n, 0.5)
+        g = Graph(vs, g.edges)
+        t = random_spanning_tree(rng, g)
+        host = HostTree(g, t)
+        fresh = HostTree(Graph(list(g.vertices), g.edges),
+                         Graph(list(t.vertices), t.edges))
+        assert host.vertices is g.indexed()[0]
+        assert host.index is g.indexed()[1]
+        assert fresh.vertices is not host.vertices
+        assert host.vertices == fresh.vertices == sorted(vs)
+        assert host.index == fresh.index
+        assert host._parent == fresh._parent
+        assert host._depth == fresh._depth
+        for j in range(n):
+            assert host.path_row(j) == fresh.path_row(j)
+        for a, b in itertools.product(vs, repeat=2):
+            assert host.path(a, b) == fresh.path(a, b)
+        subsets = st.sets(st.sampled_from(vs), min_size=1)
+        for _ in range(6):
+            nodes = data.draw(subsets)
+            assert host.connects(nodes) == fresh.connects(nodes)
+            assert (sorted(map(sorted, host.components(nodes)))
+                    == sorted(map(sorted, fresh.components(nodes))))
+
+    def test_index_is_built_once(self):
+        g = Graph(["b", "c", "a"], [("a", "b"), ("b", "c")])
+        vertices, index = g.indexed()
+        assert (vertices, index) == (["a", "b", "c"], {"a": 0, "b": 1, "c": 2})
+        assert g.indexed() is g.indexed()
+        assert g.indexed()[0] is vertices
+
+    def test_trees_share_their_graphs_index(self):
+        """Trees from _spanning_subgraph, the sampler and enumeration hold
+        their graph's index object itself, so nothing is sorted again."""
+        from tdforge.constructions import reflected_tree
+        from tdforge.search import (enumerate_spanning_trees,
+                                    sample_spanning_trees)
+        g = reflected_tree(3).graph
+        shared = g.indexed()
+        assert g._spanning_subgraph(sorted(g.edges)[:1]).indexed() is shared
+        trees = list(sample_spanning_trees(g, 5, seed=1))
+        trees += itertools.islice(enumerate_spanning_trees(g), 5)
+        for t in trees:
+            assert t.indexed() is shared
+            assert HostTree(g, t).vertices is shared[0]
+            assert t._adj is None  # HostTree reads edges, not neighbours
+            assert t.neighbors("u") == Graph(g.vertices, t.edges).neighbors("u")
+
+
 class TestInducedSubtrees:
     def test_path_counts(self):
         # subtrees of a path containing a fixed vertex are the intervals

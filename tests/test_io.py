@@ -210,8 +210,15 @@ class TestLoaderShapes:
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
             | st.text())
 _KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+# lists of string pairs, the shape of edge lists, mixed with near misses:
+# pairs that are tuples, that hold a non-string, or have one or three items
+_PAIR = st.lists(st.text(max_size=3), min_size=2, max_size=2)
+_NEAR_PAIR = (_PAIR.map(tuple) | st.lists(st.text(max_size=3), max_size=3)
+              | st.tuples(st.text(max_size=3), _SCALARS) | st.text(max_size=2))
+_PAIRS = (st.lists(_PAIR, max_size=6)
+          | st.lists(_PAIR | _NEAR_PAIR, max_size=6))
 _VALUES = st.recursive(
-    _SCALARS,
+    _SCALARS | _PAIRS,
     lambda kids: (st.lists(kids, max_size=4)
                   | st.lists(kids, max_size=4).map(tuple)
                   | st.dictionaries(_KEYS, kids, max_size=4)),
@@ -240,6 +247,16 @@ class TestJsonText:
     def test_edge_cases(self, obj):
         assert io.json_text(obj) == json.dumps(obj, indent=2)
 
+    @pytest.mark.parametrize("obj", [
+        [["a", "b"], ["c", "d"]], [("a", "b")], {"e": [["a", "b"]]},
+        [["a", 1]], [["a", None]], [["a", 1.5]], [[["a"], "b"]],
+        [["a", "b"], "ab"], [["a", "b"], ["a", "b", "c"]],
+        [["a", "b"], ["c"]], ["ab", ["a", "b"]], [{"a": 1, "b": 2}],
+        [["", ""]], [["é", "\u2603"], ["\x00", '"']],
+    ])
+    def test_pair_lists(self, obj):
+        assert io.json_text(obj) == json.dumps(obj, indent=2)
+
     def test_certify_document(self):
         rt = reflected_tree(4)
         certs = [io.certificate_to_obj(reflected_matching(rt, t)) for t in
@@ -250,6 +267,7 @@ class TestJsonText:
     @pytest.mark.parametrize("obj", [
         {1, 2}, [set()], ["a", frozenset()], {"a": b"bytes"},
         ({"a": object()},), {(1, 2): "tuple key"}, {"a": {b"k": 1}},
+        [["a", "b"], {"c", "d"}], [["a", "b"], ("c", b"d")],
     ])
     def test_unserializable_raises_json_type_error(self, obj):
         with pytest.raises(TypeError) as want:

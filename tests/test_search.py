@@ -420,6 +420,22 @@ class TestDecideOverTrees:
         with pytest.raises(ValueError, match="not a spanning tree"):
             next(decide_over_trees(k4_minus_e, trees[:1], 3, anchored=True))
 
+    def test_checked_host_trees(self):
+        """HostTrees over g give the results their Graphs give; a HostTree
+        over another graph is refused."""
+        g = complete_graph(4)
+        trees = list(enumerate_spanning_trees(g))
+        hosts = [HostTree(g, t) for t in trees]
+        for budget in (2, 3):
+            want = list(decide_over_trees(g, trees, budget, anchored=True))
+            got = list(decide_over_trees(g, hosts, budget, anchored=True))
+            assert [(r.status, r.source, r.nodes, r.witness) for r in got] \
+                == [(r.status, r.source, r.nodes, r.witness) for r in want]
+        k5 = complete_graph(5)
+        foreign = HostTree(k5, next(iter(enumerate_spanning_trees(k5))))
+        with pytest.raises(ValueError, match="another graph"):
+            next(decide_over_trees(g, [foreign], 3, anchored=True))
+
     def test_hosts_are_checked_below_the_bound(self):
         g = complete_graph(4)
         not_spanning = Graph(g.vertices, [])
