@@ -91,7 +91,7 @@ class Run:
     def __init__(self, argv: Sequence[str], args: argparse.Namespace):
         self.argv = list(argv)
         self.seed = getattr(args, "seed", 0)
-        self.out = getattr(args, "out", None)
+        self.out = args.out
         self.settings = Settings()
         self.started = time.time()
         self.inputs: Dict[str, str] = {}
@@ -175,17 +175,18 @@ def _sidecar_path(out: Optional[str]) -> Optional[str]:
 
 # ---------------------------------------------------------- subcommands
 
-def cmd_construct(run: Run, args) -> int:
-    if args.what == "reflected-tree":
-        rt = reflected_tree(args.r, cap=run.settings.cap_vertices)
-        run.write(io.graph_to_obj(rt.graph), args.out)
-        if args.out is not None:
-            meta = {"kind": "reflected-tree", "level": rt.level,
-                    "roots": list(rt.roots),
-                    "order": len(rt.graph), "size": len(rt.graph.edges)}
-            run.write(meta, _sidecar_path(args.out))
-        return EXIT_OK
-    # gadget
+def cmd_reflected_tree(run: Run, args) -> int:
+    rt = reflected_tree(args.r, cap=run.settings.cap_vertices)
+    run.write(io.graph_to_obj(rt.graph), args.out)
+    if args.out is not None:
+        meta = {"kind": "reflected-tree", "level": rt.level,
+                "roots": list(rt.roots),
+                "order": len(rt.graph), "size": len(rt.graph.edges)}
+        run.write(meta, _sidecar_path(args.out))
+    return EXIT_OK
+
+
+def cmd_gadget(run: Run, args) -> int:
     g = _load_graph(run, args.graph)
     n = len(g)
     ordering = args.ordering.split(",") if args.ordering else None
@@ -221,15 +222,16 @@ def cmd_schedule(run: Run, args) -> int:
     return EXIT_OK
 
 
-def cmd_transform(run: Run, args) -> int:
-    if args.what == "minor-to-spanning":
-        g = _load_graph(run, args.graph)
-        td = _load_td(run, args.td)
-        model = io.model_from_obj(run.read_json(args.model), g)
-        out = minor_to_spanning(g, td, model)
-        run.write(io.td_to_obj(out), args.out)
-        return EXIT_OK
-    # reduce
+def cmd_minor_to_spanning(run: Run, args) -> int:
+    g = _load_graph(run, args.graph)
+    td = _load_td(run, args.td)
+    model = io.model_from_obj(run.read_json(args.model), g)
+    out = minor_to_spanning(g, td, model)
+    run.write(io.td_to_obj(out), args.out)
+    return EXIT_OK
+
+
+def cmd_reduce(run: Run, args) -> int:
     inst = io.instance_from_obj(run.read_json(args.instance))
     td = _load_td(run, args.td)
     try:
@@ -294,33 +296,38 @@ def cmd_audit(run: Run, args) -> int:
     return EXIT_OK
 
 
-def cmd_search(run: Run, args) -> int:
-    if args.what == "decide":
-        g = _load_graph(run, args.graph)
-        host = _load_graph(run, args.host)
-        res = min_width_on_tree(g, host, args.budget, anchored=args.anchored)
-        run.decider = {"source": res.source, "nodes": res.nodes,
-                       "pruned": {"no_room": res.pruned_no_room,
-                                  "path": res.pruned_path}}
-        out = {"status": res.status, "budget": res.budget,
-               "anchored": res.anchored, "nodes": res.nodes}
-        if res.witness is not None:
-            out["witness"] = io.td_to_obj(res.witness)
-        run.write(out, args.out)
-        return EXIT_OK
-    if args.what == "min-anchored":
-        g = _load_graph(run, args.graph)
-        width, host, witness = min_anchored_spanning_width(
-            g, cap_vertices=run.settings.cap_vertices)
-        run.write({"width": width, "host": io.graph_to_obj(host),
-                   "witness": io.td_to_obj(witness)}, args.out)
-        return EXIT_OK
-    if args.what == "tw":
-        g = _load_graph(run, args.graph)
-        run.write({"treewidth": exact_treewidth(g, cap=run.settings.tw_cap)},
-                  args.out)
-        return EXIT_OK
-    # spanning
+def cmd_decide(run: Run, args) -> int:
+    g = _load_graph(run, args.graph)
+    host = _load_graph(run, args.host)
+    res = min_width_on_tree(g, host, args.budget, anchored=args.anchored)
+    run.decider = {"source": res.source, "nodes": res.nodes,
+                   "pruned": {"no_room": res.pruned_no_room,
+                              "path": res.pruned_path}}
+    out = {"status": res.status, "budget": res.budget,
+           "anchored": res.anchored, "nodes": res.nodes}
+    if res.witness is not None:
+        out["witness"] = io.td_to_obj(res.witness)
+    run.write(out, args.out)
+    return EXIT_OK
+
+
+def cmd_min_anchored(run: Run, args) -> int:
+    g = _load_graph(run, args.graph)
+    width, host, witness = min_anchored_spanning_width(
+        g, cap_vertices=run.settings.cap_vertices)
+    run.write({"width": width, "host": io.graph_to_obj(host),
+               "witness": io.td_to_obj(witness)}, args.out)
+    return EXIT_OK
+
+
+def cmd_tw(run: Run, args) -> int:
+    g = _load_graph(run, args.graph)
+    run.write({"treewidth": exact_treewidth(g, cap=run.settings.tw_cap)},
+              args.out)
+    return EXIT_OK
+
+
+def cmd_spanning(run: Run, args) -> int:
     g = _load_graph(run, args.graph)
     total = count_spanning_trees(g)
     if args.count_only:
@@ -329,9 +336,9 @@ def cmd_search(run: Run, args) -> int:
     if total > run.settings.enum_cap:
         raise CapExceeded(total, run.settings.enum_cap,
                           "spanning tree enumeration")
-    trees = [sorted(t.edges) for t in enumerate_spanning_trees(g)]
-    run.write({"count": total,
-               "trees": [[list(e) for e in t] for t in trees]}, args.out)
+    run.write({"count": total, "trees": [sorted(t.edges) for t in
+                                         enumerate_spanning_trees(g)]},
+              args.out)
     return EXIT_OK
 
 
@@ -473,16 +480,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "transforms, certificates, and exact search.")
     parser.add_argument("--version", action="version", version=__version__)
 
-    def common(p, seed=True, cap_help="materialization cap on vertex count"):
+    shared = {
+        "--config": dict(help="key = value file for caps"),
+        "--cap": dict(type=int, help="materialization cap on vertex count"),
+        "--tw-cap": dict(type=int,
+                         help="vertex cap for the general treewidth search"),
+        "--seed": dict(type=int, default=0,
+                       help="seed for all sampling (default 0)"),
+    }
+
+    def leaf(p, func, *flags):
+        """End a leaf: --out, the shared flags its handler reads, and the
+        handler."""
         p.add_argument("--out", help="write the main output here "
                                      "(default: stdout)")
-        p.add_argument("--config", help="key = value file for caps")
-        p.add_argument("--cap", type=int, help=cap_help)
-        p.add_argument("--tw-cap", type=int, dest="tw_cap",
-                       help="vertex cap for the general treewidth search")
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for all sampling (default 0)")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -490,22 +504,19 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="what", required=True)
     p1 = psub.add_parser("reflected-tree")
     p1.add_argument("--r", type=int, required=True)
-    common(p1)
-    p1.set_defaults(func=cmd_construct)
+    leaf(p1, cmd_reflected_tree, "--config", "--cap")
     p2 = psub.add_parser("gadget")
     p2.add_argument("--k", type=int, required=True)
     p2.add_argument("--graph", required=True)
     p2.add_argument("--ordering", help="comma-separated vertex ordering")
     p2.add_argument("--toy-heights", dest="toy_heights")
     p2.add_argument("--toy-widths", dest="toy_widths")
-    common(p2)
-    p2.set_defaults(func=cmd_construct)
+    leaf(p2, cmd_gadget, "--config", "--cap")
 
     p = sub.add_parser("schedule", help="print gadget growth parameters")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_schedule)
+    leaf(p, cmd_schedule)
 
     p = sub.add_parser("transform", help="decomposition transformations")
     psub = p.add_subparsers(dest="what", required=True)
@@ -513,13 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--graph", required=True)
     p1.add_argument("--td", required=True)
     p1.add_argument("--model", required=True)
-    common(p1)
-    p1.set_defaults(func=cmd_transform)
+    leaf(p1, cmd_minor_to_spanning)
     p2 = psub.add_parser("reduce")
     p2.add_argument("--instance", required=True)
     p2.add_argument("--td", required=True)
-    common(p2)
-    p2.set_defaults(func=cmd_transform)
+    leaf(p2, cmd_reduce)
 
     p = sub.add_parser("certify", help="matching certificates on host trees")
     p.add_argument("--r", type=int, required=True)
@@ -530,15 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certify every spanning tree")
     group.add_argument("--sample", type=int,
                        help="certify this many sampled trees")
-    common(p)
-    p.set_defaults(func=cmd_certify)
+    leaf(p, cmd_certify, "--config", "--cap", "--seed")
 
     p = sub.add_parser("audit", help="check a certificate against a "
                                      "decomposition")
     p.add_argument("--certificate", required=True)
     p.add_argument("--td", required=True)
-    common(p)
-    p.set_defaults(func=cmd_audit)
+    leaf(p, cmd_audit, "--config", "--cap")
 
     p = sub.add_parser("search", help="exact search engines")
     psub = p.add_subparsers(dest="what", required=True)
@@ -547,25 +554,23 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--host", required=True)
     p1.add_argument("--budget", type=int, required=True)
     p1.add_argument("--anchored", action="store_true")
-    common(p1)
-    p1.set_defaults(func=cmd_search)
+    leaf(p1, cmd_decide)
     p2 = psub.add_parser("min-anchored")
     p2.add_argument("--graph", required=True)
-    # the flag's default beats the environment and config caps, so the
-    # exhaustive search keeps its own small cap and the manifest records it
-    common(p2, cap_help="most vertices the graph may have for this search "
-                        "over all its spanning trees (default 12; the "
-                        "environment and config caps do not apply)")
-    p2.set_defaults(func=cmd_search, cap=12)
+    # a default beats the environment cap, so the exhaustive search keeps
+    # its own small cap and the manifest records it
+    p2.add_argument("--cap", type=int, default=12,
+                    help="most vertices the graph may have for this search "
+                         "over all its spanning trees (default 12; the "
+                         "environment cap does not apply)")
+    leaf(p2, cmd_min_anchored)
     p3 = psub.add_parser("tw")
     p3.add_argument("--graph", required=True)
-    common(p3)
-    p3.set_defaults(func=cmd_search)
+    leaf(p3, cmd_tw, "--config", "--tw-cap")
     p4 = psub.add_parser("spanning")
     p4.add_argument("--graph", required=True)
     p4.add_argument("--count-only", dest="count_only", action="store_true")
-    common(p4)
-    p4.set_defaults(func=cmd_search)
+    leaf(p4, cmd_spanning, "--config")
 
     p = sub.add_parser("verify", help="validate a decomposition")
     p.add_argument("--graph", required=True)
@@ -574,8 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="additionally require anchoring")
     p.add_argument("--budget", type=int, help="additionally require width "
                                               "within this budget")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    leaf(p, cmd_verify)
 
     p = sub.add_parser("pipeline", help="end-to-end toy demonstration")
     p.add_argument("--k", type=int, required=True)
@@ -584,13 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility, no effect: trees are "
                         "decided in-process, one after another")
-    common(p)
-    p.set_defaults(func=cmd_pipeline)
+    leaf(p, cmd_pipeline, "--config", "--cap", "--tw-cap", "--seed")
 
     p = sub.add_parser("export", help="DOT text for a JSON artifact")
     p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_export)
+    leaf(p, cmd_export)
 
     return parser
 

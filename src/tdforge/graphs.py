@@ -223,9 +223,9 @@ class HostTree:
     index's neighbours, parent and depth. Path and cycle queries then climb
     from both ends to the common ancestor, in time linear in the answer's
     length, without re-checking the tree. path_row gives the paths from
-    every index to one index as bitmasks over the same index; connects,
-    components and tops read from the parent list whether the tree's
-    restriction to a vertex set is connected, and its components.
+    every index to one index as bitmasks over the same index; tops reads
+    the components of the tree's restriction to a set of indices from the
+    parent list.
     """
 
     __slots__ = ("graph", "tree", "vertices", "index", "_nbrs", "_parent",
@@ -327,24 +327,6 @@ class HostTree:
                     row[y] = row[x] | 1 << y
                     order.append(y)
         return row
-
-    def connects(self, nodes: AbstractSet[Vertex]) -> bool:
-        """True iff the tree restricted to the non-empty vertex set nodes is
-        connected. A forest is connected iff it has one edge fewer than
-        vertices, and each tree edge inside nodes is the parent edge of
-        exactly one member other than the root (whose parent is itself)."""
-        index, parent = self.index, self._parent
-        inside = {index[v] for v in nodes}
-        return sum(parent[i] in inside for i in inside if i) == len(inside) - 1
-
-    def components(self, nodes: AbstractSet[Vertex]) -> List[Set[Vertex]]:
-        """The vertex sets of the components of the tree restricted to the
-        vertex set nodes (see tops)."""
-        index, vertices = self.index, self.vertices
-        comps: Dict[int, Set[Vertex]] = {}
-        for i, top in self.tops([index[v] for v in nodes]).items():
-            comps.setdefault(top, set()).add(vertices[i])
-        return list(comps.values())
 
     def tops(self, members: Iterable[int]) -> Dict[int, int]:
         """Each of the indices members, mapped to the top of its component

@@ -512,9 +512,8 @@ def _reduces_to_empty(g: Graph) -> bool:
 
 
 def _treewidth_dp(g: Graph) -> int:
-    verts = sorted(g.vertices)
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
+    index = g.indexed()[1]
+    n = len(index)
     adj = [0] * n
     for a, b in g.edges:
         adj[index[a]] |= 1 << index[b]

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: outputs, manifests, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -96,6 +97,76 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--r", "2", "--all", "--sample", "3"])
         assert exc.value.code == 2
+
+    def test_each_leaf_accepts_only_the_flags_its_handler_reads(self):
+        """Walking the parser finds these options on the leaves and no
+        others, 67 in all, and a handler of its own on every leaf."""
+        from tdforge import cli
+        leaves = {}
+
+        def walk(parser, words):
+            subs = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                leaves[words] = (parser.get_default("func"), sorted(
+                    o for a in parser._actions for o in a.option_strings
+                    if o.startswith("--") and o != "--help"))
+            for action in subs:
+                for name, p in action.choices.items():
+                    walk(p, f"{words} {name}".strip())
+
+        walk(cli.build_parser(), "")
+        assert {words: opts for words, (_, opts) in leaves.items()} == {
+            words: sorted(opts) for words, opts in _LEAF_OPTIONS.items()}
+        assert sum(len(opts) for _, opts in leaves.values()) == 67
+        assert len({func for func, _ in leaves.values()}) == len(leaves)
+
+    @pytest.mark.parametrize("leaf, rest", [
+        (["verify"], ["--graph", "g.json", "--td", "td.json", "--seed", "1"]),
+        (["export"], ["--input", "g.json", "--cap", "5"]),
+        (["search", "decide"], ["--graph", "g.json", "--host", "g.json",
+                                "--budget", "1", "--tw-cap", "3"]),
+    ], ids=["verify --seed", "export --cap", "search decide --tw-cap"])
+    def test_a_flag_the_leaf_does_not_read_is_a_usage_error(self, tmp_path,
+                                                           leaf, rest):
+        """Exit 2 with argparse's usage line (the top-level parser reports
+        unrecognized arguments) and no traceback, before any manifest is
+        written."""
+        write_graph(cycle_graph(4), "g.json")
+        write_square_td("td.json")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdforge.cli", *leaf, *rest],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: tdforge ")
+        assert proc.stderr.endswith(
+            f"tdforge: error: unrecognized arguments: {' '.join(rest[-2:])}\n")
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("*manifest.json"))
+
+
+_LEAF_OPTIONS = {
+    "construct reflected-tree": ["--r", "--out", "--config", "--cap"],
+    "construct gadget": ["--k", "--graph", "--ordering", "--toy-heights",
+                         "--toy-widths", "--out", "--config", "--cap"],
+    "schedule": ["--k", "--n", "--out"],
+    "transform minor-to-spanning": ["--graph", "--td", "--model", "--out"],
+    "transform reduce": ["--instance", "--td", "--out"],
+    "certify": ["--r", "--spanning-tree", "--all", "--sample", "--out",
+                "--config", "--cap", "--seed"],
+    "audit": ["--certificate", "--td", "--out", "--config", "--cap"],
+    "search decide": ["--graph", "--host", "--budget", "--anchored", "--out"],
+    "search min-anchored": ["--graph", "--cap", "--out"],
+    "search tw": ["--graph", "--out", "--config", "--tw-cap"],
+    "search spanning": ["--graph", "--count-only", "--out", "--config"],
+    "verify": ["--graph", "--td", "--anchored", "--budget", "--out"],
+    "pipeline": ["--k", "--toy-heights", "--toy-widths", "--jobs", "--out",
+                 "--config", "--cap", "--tw-cap", "--seed"],
+    "export": ["--input", "--out"],
+}
 
 
 _SUBCOMMANDS = [[], ["construct"], ["construct", "reflected-tree"],
@@ -394,22 +465,27 @@ class TestSearchCommands:
 
     def test_min_anchored_manifest_records_the_cap_applied(
             self, tmp_path, monkeypatch, capsys):
-        """The search's cap is 12 unless --cap sets it; neither
-        TDFORGE_CAP_VERTICES nor a config file does, and the manifest
-        records the cap the search ran under. The level-2 graph has 4
-        vertices."""
+        """The search's cap is 12 unless --cap sets it; TDFORGE_CAP_VERTICES
+        does not, and a config file is a usage error. The manifest records
+        the cap the search ran under. The level-2 graph has 4 vertices."""
         from tdforge.constructions import reflected_tree
         write_graph(reflected_tree(2).graph, "g.json")
         (tmp_path / "caps.cfg").write_text("cap_vertices = 2\n")
         monkeypatch.setenv("TDFORGE_CAP_VERTICES", "3")
         for extra, code, cap in (([], 0, 12),
-                                 (["--config", "caps.cfg"], 0, 12),
                                  (["--cap", "3"], 2, 3),
                                  (["--cap", "4"], 0, 4)):
             assert main(["search", "min-anchored", "--graph", "g.json",
                          "--out", "o.json"] + extra) == code
             manifest = load_json("o.json.manifest.json")
             assert manifest["settings"]["cap_vertices"] == cap
+        os.remove("o.json.manifest.json")
+        with pytest.raises(SystemExit) as exc:  # it takes no config file
+            main(["search", "min-anchored", "--graph", "g.json",
+                  "--out", "o.json", "--config", "caps.cfg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not os.path.exists("o.json.manifest.json")
         with pytest.raises(SystemExit):
             main(["search", "min-anchored", "--help"])
         assert "(default 12; the" in capsys.readouterr().out

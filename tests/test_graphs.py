@@ -13,7 +13,6 @@ from tdforge.graphs import (
     Matching,
     complete_graph,
     component_in,
-    connected_in,
     cycle_graph,
     edge,
     fundamental_cycle,
@@ -200,26 +199,10 @@ class TestHostTree:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=9),
            st.integers(min_value=0, max_value=2 ** 31), st.data())
-    def test_connects_agrees_with_bfs(self, n, seed, data):
-        """connects(nodes), read from the parent list, is the plain BFS
-        connectivity of the tree's restriction to nodes, for subsets with
-        and without the root (index 0)."""
-        rng = random.Random(seed)
-        g = random_connected_graph(rng, n, 0.5)
-        t = random_spanning_tree(rng, g)
-        host = HostTree(g, t)
-        subsets = st.sets(st.sampled_from(g.vertices), min_size=1)
-        for _ in range(8):
-            nodes = data.draw(subsets)
-            assert host.connects(nodes) == connected_in(t, nodes)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=1, max_value=9),
-           st.integers(min_value=0, max_value=2 ** 31), st.data())
     def test_components_agree_with_bfs(self, n, seed, data):
-        """components(nodes), read from the parent list, are the plain BFS
-        components of the tree's restriction to nodes, for subsets with and
-        without the root (index 0)."""
+        """The components that tops reads from the parent list are the
+        plain BFS components of the tree's restriction to nodes, for
+        subsets with and without the root (index 0)."""
         rng = random.Random(seed)
         g = random_connected_graph(rng, n, 0.5)
         t = random_spanning_tree(rng, g)
@@ -231,18 +214,11 @@ class TestHostTree:
             while rest:
                 want.append(frozenset(component_in(t, rest, min(rest))))
                 rest -= want[-1]
-            got = host.components(nodes)
-            assert sorted(map(sorted, got)) == sorted(map(sorted, want))
-
-    def test_connects_on_a_path(self):
-        """On a path rooted at its end, the root is counted once whether or
-        not its neighbour is in the set."""
-        p = path_graph(4)
-        host = HostTree(p, p)
-        assert host.connects({"p00"})
-        assert host.connects({"p00", "p01", "p02"})
-        assert not host.connects({"p00", "p02"})
-        assert not host.connects({"p00", "p01", "p03"})
+            got: dict = {}
+            for i, top in host.tops([host.index[v] for v in nodes]).items():
+                got.setdefault(top, set()).add(host.vertices[i])
+            assert (sorted(map(sorted, got.values()))
+                    == sorted(map(sorted, want)))
 
     def test_rejections(self):
         c = cycle_graph(4)
@@ -289,12 +265,11 @@ class TestSharedIndex:
             assert host.path_row(j) == fresh.path_row(j)
         for a, b in itertools.product(vs, repeat=2):
             assert host.path(a, b) == fresh.path(a, b)
-        subsets = st.sets(st.sampled_from(vs), min_size=1)
+        subsets = st.sets(st.integers(min_value=0, max_value=n - 1),
+                          min_size=1)
         for _ in range(6):
-            nodes = data.draw(subsets)
-            assert host.connects(nodes) == fresh.connects(nodes)
-            assert (sorted(map(sorted, host.components(nodes)))
-                    == sorted(map(sorted, fresh.components(nodes))))
+            members = data.draw(subsets)
+            assert host.tops(members) == fresh.tops(members)
 
     def test_index_is_built_once(self):
         g = Graph(["b", "c", "a"], [("a", "b"), ("b", "c")])
