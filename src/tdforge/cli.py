@@ -74,7 +74,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     if config:
         settings = replace(settings, **_parse_config(config))
     env_cap = os.environ.get("TDFORGE_CAP_VERTICES")
-    if env_cap is not None:
+    if env_cap is not None and "cap_vertices" in args.caps:
         settings = replace(settings, cap_vertices=int(env_cap))
     if getattr(args, "cap", None) is not None:
         settings = replace(settings, cap_vertices=args.cap)
@@ -93,6 +93,7 @@ class Run:
         self.seed = getattr(args, "seed", 0)
         self.out = args.out
         self.settings = Settings()
+        self.caps = args.caps
         self.started = time.time()
         self.inputs: Dict[str, str] = {}
         self.outputs: List[str] = []
@@ -123,11 +124,8 @@ class Run:
         manifest = {
             "command": self.argv,
             "version": __version__,
-            "settings": {
-                "cap_vertices": self.settings.cap_vertices,
-                "tw_cap": self.settings.tw_cap,
-                "enum_cap": self.settings.enum_cap,
-            },
+            "settings": {name: getattr(self.settings, name)
+                         for name in self.caps},
             "seed": self.seed,
             "inputs": self.inputs,
             "outputs": self.outputs,
@@ -302,7 +300,8 @@ def cmd_decide(run: Run, args) -> int:
     res = min_width_on_tree(g, host, args.budget, anchored=args.anchored)
     run.decider = {"source": res.source, "nodes": res.nodes,
                    "pruned": {"no_room": res.pruned_no_room,
-                              "path": res.pruned_path}}
+                              "path": res.pruned_path,
+                              "dominated": res.pruned_dominated}}
     out = {"status": res.status, "budget": res.budget,
            "anchored": res.anchored, "nodes": res.nodes}
     if res.witness is not None:
@@ -473,8 +472,19 @@ def cmd_export(run: Run, args) -> int:
 
 # -------------------------------------------------------------- parsing
 
+class _Parser(argparse.ArgumentParser):
+    """A leaf (a parser with a handler) reports arguments it does not know
+    itself, so the usage line names the leaf and the flags it accepts."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self.get_default("func") is not None:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tdforge",
         description="Spanning-tree-hosted tree decompositions: constructions, "
                     "transforms, certificates, and exact search.")
@@ -489,29 +499,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for all sampling (default 0)"),
     }
 
-    def leaf(p, func, *flags):
-        """End a leaf: --out, the shared flags its handler reads, and the
+    def leaf(p, func, *flags, caps=()):
+        """End a leaf: --out, the shared flags its handler reads, the caps
+        (Settings fields) it applies, which its manifest records, and the
         handler."""
         p.add_argument("--out", help="write the main output here "
                                      "(default: stdout)")
         for flag in flags:
             p.add_argument(flag, **shared[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, caps=caps)
 
+    vertex_cap = ("cap_vertices",)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the graphs")
     psub = p.add_subparsers(dest="what", required=True)
     p1 = psub.add_parser("reflected-tree")
     p1.add_argument("--r", type=int, required=True)
-    leaf(p1, cmd_reflected_tree, "--config", "--cap")
+    leaf(p1, cmd_reflected_tree, "--config", "--cap", caps=vertex_cap)
     p2 = psub.add_parser("gadget")
     p2.add_argument("--k", type=int, required=True)
     p2.add_argument("--graph", required=True)
     p2.add_argument("--ordering", help="comma-separated vertex ordering")
     p2.add_argument("--toy-heights", dest="toy_heights")
     p2.add_argument("--toy-widths", dest="toy_widths")
-    leaf(p2, cmd_gadget, "--config", "--cap")
+    leaf(p2, cmd_gadget, "--config", "--cap", caps=vertex_cap)
 
     p = sub.add_parser("schedule", help="print gadget growth parameters")
     p.add_argument("--k", type=int, required=True)
@@ -539,13 +551,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certify every spanning tree")
     group.add_argument("--sample", type=int,
                        help="certify this many sampled trees")
-    leaf(p, cmd_certify, "--config", "--cap", "--seed")
+    leaf(p, cmd_certify, "--config", "--cap", "--seed",
+         caps=("cap_vertices", "enum_cap"))
 
     p = sub.add_parser("audit", help="check a certificate against a "
                                      "decomposition")
     p.add_argument("--certificate", required=True)
     p.add_argument("--td", required=True)
-    leaf(p, cmd_audit, "--config", "--cap")
+    leaf(p, cmd_audit, "--config", "--cap", caps=vertex_cap)
 
     p = sub.add_parser("search", help="exact search engines")
     psub = p.add_subparsers(dest="what", required=True)
@@ -563,14 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="most vertices the graph may have for this search "
                          "over all its spanning trees (default 12; the "
                          "environment cap does not apply)")
-    leaf(p2, cmd_min_anchored)
+    leaf(p2, cmd_min_anchored, caps=vertex_cap)
     p3 = psub.add_parser("tw")
     p3.add_argument("--graph", required=True)
-    leaf(p3, cmd_tw, "--config", "--tw-cap")
+    leaf(p3, cmd_tw, "--config", "--tw-cap", caps=("tw_cap",))
     p4 = psub.add_parser("spanning")
     p4.add_argument("--graph", required=True)
     p4.add_argument("--count-only", dest="count_only", action="store_true")
-    leaf(p4, cmd_spanning, "--config")
+    leaf(p4, cmd_spanning, "--config", caps=("enum_cap",))
 
     p = sub.add_parser("verify", help="validate a decomposition")
     p.add_argument("--graph", required=True)
@@ -588,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility, no effect: trees are "
                         "decided in-process, one after another")
-    leaf(p, cmd_pipeline, "--config", "--cap", "--tw-cap", "--seed")
+    leaf(p, cmd_pipeline, "--config", "--cap", "--tw-cap", "--seed",
+         caps=("cap_vertices", "tw_cap", "enum_cap"))
 
     p = sub.add_parser("export", help="DOT text for a JSON artifact")
     p.add_argument("--input", required=True)

@@ -35,6 +35,9 @@ class DeciderResult:
     # branches the look-ahead cut, by rule (see min_width_on_tree)
     pruned_no_room: int
     pruned_path: int
+    # meeting nodes skipped because a lower one dominates them (same
+    # docstring)
+    pruned_dominated: int
 
     @property
     def is_sat(self) -> bool:
@@ -299,6 +302,26 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
     node is in neither yet, so it must take a or b as a new guest, which a
     full node cannot. A cut therefore removes only branches with no
     solution, and the search order is unchanged.
+
+    Dominance (pruned_dominated; Jouglet and Carlier, "Dominance rules in
+    combinatorial optimization problems", 2011): a candidate x is skipped
+    when the subtrees of a and b, grown to x, share a node y below x. A
+    grown subtree is the old one plus its tree path to x, so y lies in A =
+    sub[a] or on A's path to x, and in B = sub[b] or on B's path to x. The
+    path from A to y is then part of the path from A to x (empty if y is
+    in A), and likewise for B: growing to y adds a subset of what growing
+    to x adds, every subtree and load of y's branch is at most that of
+    x's, and a solution containing x's branch contains y's. y came before
+    x at this node and was handled in one of three ways, each leaving x's
+    branch without a solution. It was tried and failed: the search is
+    complete from any state a solution contains (at each edge, the lowest
+    meeting node whose branch a solution contains passes the room test
+    and the look-ahead, is not skipped, being lowest, and is tried). It was full or failed
+    the room test, which is monotone in the growths, so x fails it too.
+    Or it was skipped for a lower node that dominates it, and dominance
+    is transitive. An empty subtree grows to {x} alone, and then nothing
+    is skipped. Nodes are tried in the same order and only branches with no
+    solution are skipped, so every status and witness is unchanged.
     """
     return _decide(HostTree(g, host), budget, anchored, minor_min_width(g))
 
@@ -312,7 +335,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     t0 = time.perf_counter()
     if budget < bound:
         return DeciderResult(UNSAT, None, budget, anchored, 0,
-                             time.perf_counter() - t0, BOUND, 0, 0)
+                             time.perf_counter() - t0, BOUND, 0, 0, 0)
     g, host = tree.graph, tree.tree
     verts = tree.vertices
     n = len(verts)
@@ -337,7 +360,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     # levels[k]: the nodes holding at least k guests, for k = 0..cap; so
     # levels[cap] has no room for one more and levels[cap - 1] none for two
     levels = [full, full] + [0] * (cap - 1) if own else [full] + [0] * cap
-    nodes = pruned_no_room = pruned_path = 0
+    nodes = pruned_no_room = pruned_path = pruned_dominated = 0
 
     def future_ok(start: int, levels: List[int]) -> bool:
         nonlocal pruned_no_room, pruned_path
@@ -375,7 +398,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
         return td
 
     def rec(j: int, levels: List[int]) -> Optional[TreeDecomposition]:
-        nonlocal nodes
+        nonlocal nodes, pruned_dominated
         while j < m and sub[epairs[j][0]] & sub[epairs[j][1]]:
             j += 1
         if j == m:
@@ -405,6 +428,9 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
             gb = row_b[x] & ~sb if sb else bit
             if (ga | gb) & fulls or ga & gb & tight:
                 continue
+            if (sa | ga) & (sb | gb) & (bit - 1):  # a lower node dominates x
+                pruned_dominated += 1
+                continue
             nodes += 1
             one, two = ga ^ gb, ga & gb
             grown = [full, levels[1] | ga | gb]
@@ -423,7 +449,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     witness = rec(0, levels) if future_ok(0, levels) else None
     return DeciderResult(UNSAT if witness is None else SAT, witness, budget,
                          anchored, nodes, time.perf_counter() - t0, SEARCH,
-                         pruned_no_room, pruned_path)
+                         pruned_no_room, pruned_path, pruned_dominated)
 
 
 def decide_over_trees(g: Graph, trees: Iterable, budget: int,

@@ -129,9 +129,8 @@ class TestParser:
     ], ids=["verify --seed", "export --cap", "search decide --tw-cap"])
     def test_a_flag_the_leaf_does_not_read_is_a_usage_error(self, tmp_path,
                                                            leaf, rest):
-        """Exit 2 with argparse's usage line (the top-level parser reports
-        unrecognized arguments) and no traceback, before any manifest is
-        written."""
+        """Exit 2 with the leaf's own usage line and error prefix, which
+        name the leaf, and no traceback, before any manifest is written."""
         write_graph(cycle_graph(4), "g.json")
         write_square_td("td.json")
         src = os.path.join(os.path.dirname(os.path.dirname(
@@ -141,9 +140,10 @@ class TestParser:
             capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=src))
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("usage: tdforge ")
+        name = " ".join(["tdforge", *leaf])
+        assert proc.stderr.startswith(f"usage: {name} [-h] ")
         assert proc.stderr.endswith(
-            f"tdforge: error: unrecognized arguments: {' '.join(rest[-2:])}\n")
+            f"{name}: error: unrecognized arguments: {' '.join(rest[-2:])}\n")
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("*manifest.json"))
 
@@ -256,7 +256,7 @@ class TestConstruct:
         manifest = load_json("g3.json.manifest.json")
         assert manifest["command"][:2] == ["tdforge", "construct"]
         assert manifest["outputs"] == ["g3.json", "g3.meta.json"]
-        assert manifest["settings"]["tw_cap"] == 14
+        assert manifest["settings"] == {"cap_vertices": 500_000}
         assert (manifest["exit_code"], manifest["error"]) == (0, None)
 
     def test_output_bytes_are_reproducible(self, tmp_path):
@@ -438,17 +438,18 @@ class TestSearchCommands:
         assert low == {"status": "UNSAT", "budget": 1, "anchored": True,
                        "nodes": 0}  # the 4-cycle's minor-min-width is 2
         manifest = load_json("tdforge.manifest.json")
-        assert manifest["decider"] == {"source": "bound", "nodes": 0,
-                                       "pruned": {"no_room": 0, "path": 0}}
+        assert manifest["decider"] == {
+            "source": "bound", "nodes": 0,
+            "pruned": {"no_room": 0, "path": 0, "dominated": 0}}
         assert main(["search", "decide", "--graph", "g.json", "--host",
                      "host.json", "--budget", "2", "--anchored"]) == 0
         high = json.loads(capsys.readouterr().out)
         assert high["status"] == "SAT"
         assert io.td_from_obj(high["witness"]).width() <= 2
         manifest = load_json("tdforge.manifest.json")
-        assert manifest["decider"] == {"source": "search",
-                                       "nodes": high["nodes"],
-                                       "pruned": {"no_room": 0, "path": 0}}
+        assert manifest["decider"] == {
+            "source": "search", "nodes": high["nodes"],
+            "pruned": {"no_room": 0, "path": 0, "dominated": 0}}
 
     def test_min_anchored(self, capsys):
         write_graph(cycle_graph(4), "g.json")
@@ -829,7 +830,7 @@ class TestPinnedOutputs:
             "search", "decide", "--graph", "g.json", "--host", "host.json",
             "--budget", "2", "--anchored"]) == (
             "dbb452efc33057799d44b0fb6682be87750549f8057423af9864f9bc8c47129b",
-            70)  # 4,096 nodes before the path look-ahead
+            25)  # 4,096 before the path look-ahead, 70 before dominance
 
     def test_min_anchored_digest(self, tmp_path, capsys):
         """Width, host and witness of the minimum anchored width over the
@@ -889,3 +890,21 @@ class TestSettingsPrecedence:
         monkeypatch.setenv("TDFORGE_CAP_VERTICES", "25")
         assert main(["construct", "reflected-tree", "--r", "4",
                      "--config", "caps.cfg"]) == 0
+
+    def test_manifest_records_only_the_caps_the_leaf_applies(
+            self, monkeypatch, capsys):
+        """The environment cap does not reach export, which applies no cap,
+        so its manifest records none; certify and pipeline record the caps
+        they apply, the environment's included."""
+        write_graph(path_graph(3), "g.json")
+        monkeypatch.setenv("TDFORGE_CAP_VERTICES", "1")
+        assert main(["export", "--input", "g.json", "--out", "g.dot"]) == 0
+        assert load_json("g.dot.manifest.json")["settings"] == {}
+        monkeypatch.setenv("TDFORGE_CAP_VERTICES", "100")
+        assert main(["certify", "--r", "3", "--sample", "2",
+                     "--out", "c.json"]) == 0
+        assert load_json("c.json.manifest.json")["settings"] == {
+            "cap_vertices": 100, "enum_cap": 10 ** 6}
+        assert main(["pipeline", "--k", "1", "--out", "p.json"]) == 0
+        assert load_json("p.json.manifest.json")["settings"] == {
+            "cap_vertices": 100, "tw_cap": 14, "enum_cap": 10 ** 6}

@@ -263,10 +263,11 @@ class TestDecider:
         """The search itself, with no bound (bound 0), against the oracle at
         budgets 0..3 on a seeded slice of the oracle corpus: K4 and K5, whose
         UNSAT answers the bound would otherwise settle, and 20 more graphs,
-        on up to two seeded hosts each. The path look-ahead cuts branches
-        on this slice, so the oracle checks it too."""
+        on up to two seeded hosts each. The path look-ahead and the
+        dominance rule cut branches on this slice, so the oracle checks
+        them too."""
         graphs = oracle_corpus()
-        path_cuts = 0
+        path_cuts = dominated_cuts = 0
         rng = random.Random(17)
         complete = [next(g for g in graphs if len(g) == n and
                          len(g.edges) == n * (n - 1) // 2) for n in (4, 5)]
@@ -280,22 +281,25 @@ class TestDecider:
                     for b in range(4):
                         res = search._decide(tree, b, anchored, 0)
                         path_cuts += res.pruned_path
+                        dominated_cuts += res.pruned_dominated
                         if res.is_sat:
                             got = b
                             break
                     assert got == want
                     assert minor_min_width(g) <= want
         assert path_cuts > 0
+        assert dominated_cuts > 0
 
     def test_level3_search_tree_is_pinned(self):
         """The decider's search tree on all 96 level-3 trees at anchored
         budgets 2 and 3 and unanchored budget 3, frozen as totals of nodes
-        and of each look-ahead cut, and a digest of every status and
-        witness. A change that makes search nodes cheaper while visiting
-        the same nodes in the same order keeps all four."""
+        and of each cut, and a digest of every status and witness. A change
+        that makes search nodes cheaper while visiting the same nodes in
+        the same order keeps all five; a cut that removes only branches
+        with no solution lowers the totals and keeps the digest."""
         g = reflected_tree(3).graph
         digest = hashlib.sha256()
-        totals = [0, 0, 0]
+        totals = [0, 0, 0, 0]
         for t in enumerate_spanning_trees(g):
             for budget, anchored in ((2, True), (3, True), (3, False)):
                 res = min_width_on_tree(g, t, budget, anchored)
@@ -303,10 +307,13 @@ class TestDecider:
                 totals[0] += res.nodes
                 totals[1] += res.pruned_no_room
                 totals[2] += res.pruned_path
+                totals[3] += res.pruned_dominated
                 bags = None if res.witness is None else sorted(
                     (v, sorted(b)) for v, b in res.witness.bags.items())
                 digest.update(repr((res.status, bags)).encode())
-        assert totals == [147121, 437, 99805]
+        # [147121, 437, 99805] (nodes, no-room and path cuts) before the
+        # dominance rule
+        assert totals == [54406, 200, 33372, 10755]
         assert digest.hexdigest() == ("8f8ef191e0fcfe061727e7a508895d65"
                                       "729d80766c27b7079888ace6a5571044")
 
@@ -393,6 +400,65 @@ class TestCandidateFlood:
                          & ~room_mask)
             assert picked == (room_mask & reach
                               & flood_reach(adj, s2_mask, room_mask))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=2 ** 31))
+    def test_a_dominated_meeting_node_grows_more_than_its_dominator(
+            self, n, seed):
+        """On a random tree with disjoint connected node sets A and B (either
+        may be empty), the decider skips meeting node x when A and B grown to
+        x by path rows share a node below x. With growths taken from BFS
+        paths instead, that is the case exactly when some y < x lies in both
+        grown sets, and then for every such y the growths towards y are
+        subsets of those towards x: y's branch is no larger than x's."""
+        rng = random.Random(seed)
+        ids = [f"t{i:02d}" for i in range(n)]
+        rng.shuffle(ids)
+        t = random_tree(rng, ids)
+        host = HostTree(t, t)
+        idx = host.index
+
+        def connected_set(taken):
+            free = [v for v in ids if v not in taken]
+            if not free or rng.random() < 0.2:
+                return set()
+            s = {rng.choice(free)}
+            for _ in range(rng.randrange(len(free))):
+                grow = [w for v in sorted(s) for w in t.neighbors(v)
+                        if w not in taken and w not in s]
+                if grow:
+                    s.add(rng.choice(grow))
+            return s
+
+        def growth(s, x):  # the nodes a subtree s gains on growing to x
+            if not s:
+                return {x}
+            path = min((bfs_path(t, x, y) for y in sorted(s)), key=len)
+            return set(path) - s
+
+        def mask(nodes):
+            return sum(1 << idx[v] for v in nodes)
+
+        def row_growth(s, x):
+            if not s:
+                return 1 << idx[x]
+            return host.path_row(idx[min(s, key=idx.get)])[idx[x]] & ~mask(s)
+
+        a = connected_set(set())
+        b = connected_set(a)
+        sa, sb = mask(a), mask(b)
+        for x in ids:
+            bit = 1 << idx[x]
+            skipped = bool((sa | row_growth(a, x)) & (sb | row_growth(b, x))
+                           & (bit - 1))
+            ga, gb = growth(a, x), growth(b, x)
+            lower = [y for y in (a | ga) & (b | gb) if idx[y] < idx[x]]
+            assert skipped == bool(lower)
+            if not (a and b):
+                assert not skipped
+            for y in lower:
+                assert growth(a, y) <= ga and growth(b, y) <= gb
 
 
 class TestDecideOverTrees:
