@@ -22,7 +22,7 @@ from .search import (DeciderResult, check_longpath_property,
                      count_spanning_trees, decide_over_trees,
                      enumerate_spanning_trees, exact_treewidth,
                      longpath_threshold, min_anchored_spanning_width,
-                     min_width_on_tree, minor_min_width, sample_spanning_tree,
+                     min_width_on_tree, minor_min_width,
                      sample_spanning_trees)
 from .transforms import (MinorModel, complete_model, minor_to_spanning,
                          reduce_to_anchored, validate_model)

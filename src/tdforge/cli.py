@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__, io
@@ -51,7 +52,9 @@ class Settings:
     enum_cap: int = ENUMERATION_LIMIT
 
 
-def _parse_config(path: str) -> Dict[str, int]:
+def _parse_config(path: str, caps: Sequence[str],
+                  leaf: str) -> Dict[str, int]:
+    """The caps a key = value file sets, each one that the leaf applies."""
     values: Dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -64,6 +67,10 @@ def _parse_config(path: str) -> Dict[str, int]:
             key = key.strip()
             if key not in ("cap_vertices", "tw_cap", "enum_cap"):
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in caps:
+                raise ValueError(f"{path}:{lineno}: {leaf} does not apply "
+                                 f"key {key!r}; it applies "
+                                 f"{', '.join(caps)}")
             values[key] = int(val.strip())
     return values
 
@@ -72,7 +79,8 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     settings = Settings()
     config = getattr(args, "config", None)
     if config:
-        settings = replace(settings, **_parse_config(config))
+        settings = replace(settings, **_parse_config(config, args.caps,
+                                                      args.leaf))
     env_cap = os.environ.get("TDFORGE_CAP_VERTICES")
     if env_cap is not None and "cap_vertices" in args.caps:
         settings = replace(settings, cap_vertices=int(env_cap))
@@ -106,15 +114,15 @@ class Run:
         return json.loads(data.decode("utf-8"))
 
     def write(self, obj, path: Optional[str], to_dot: bool = False) -> None:
-        if to_dot:
-            text = obj
-        else:
-            text = io.json_text(obj) + "\n"
+        """Write obj's JSON text and a newline, or the DOT text obj, to
+        path or to stdout. JSON goes out in io.json_chunks pieces, so the
+        whole document is never one string."""
+        chunks = [obj] if to_dot else chain(io.json_chunks(obj), ["\n"])
         if path is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             self.outputs.append(path)
 
     def finish(self, exit_code: int, error: Optional[str]) -> None:
@@ -261,8 +269,9 @@ def cmd_certify(run: Run, args) -> int:
         return EXIT_OK
     count = args.sample if args.sample is not None else DEFAULT_SAMPLE
     plan = MatchingPlan(rt)
-    certs = [io.certificate_to_obj(reflected_matching(rt, t, plan))
-             for t in sample_spanning_trees(rt.graph, count, seed=run.seed)]
+    certs = [io.certificate_to_obj(reflected_matching(rt, host, plan))
+             for host in sample_spanning_trees(rt.graph, count, seed=run.seed,
+                                               hosts=True)]
     run.write({"mode": "sampled", "count": count, "seed": run.seed,
                "certificates": certs}, args.out)
     return EXIT_OK
@@ -400,25 +409,27 @@ def cmd_pipeline(run: Run, args) -> int:
     total = count_spanning_trees(core.graph)
     if total <= run.settings.enum_cap:
         mode = {"mode": "all", "count": total}
-        trees = enumerate_spanning_trees(core.graph)
+        hosts = (HostTree(core.graph, t)
+                 for t in enumerate_spanning_trees(core.graph))
     else:
         mode = {"mode": "sampled", "count": DEFAULT_SAMPLE, "seed": run.seed,
                 "population": str(total)}
-        trees = sample_spanning_trees(core.graph, DEFAULT_SAMPLE, seed=run.seed)
+        hosts = sample_spanning_trees(core.graph, DEFAULT_SAMPLE,
+                                      seed=run.seed, hosts=True)
 
-    def certified(trees):
-        """Pass every tree on as a checked HostTree, certifying each until
-        the first failure."""
+    def certified(hosts):
+        """Pass every host tree on, certifying each until the first
+        failure. Enumerated trees are checked once, as they become
+        HostTrees; sampled ones are built by the walk."""
         plan = MatchingPlan(core)
         count: Optional[int] = 0
-        for t in trees:
-            host = HostTree(core.graph, t)
+        for host in hosts:
             if count is not None:
                 cert = reflected_matching(core, host, plan)
                 if len(cert.matching) == k + 1 and verify_certificate(core, cert):
                     count += 1
                 else:
-                    record("certificates", False, tree=sorted(t.edges))
+                    record("certificates", False, tree=sorted(host.tree.edges))
                     count = None
             yield host
         if count is not None:
@@ -428,7 +439,7 @@ def cmd_pipeline(run: Run, args) -> int:
     budget = k - 1
     unsat = 0
     sat = False
-    stream = certified(trees)
+    stream = certified(hosts)
     for res in decide_over_trees(core.graph, stream, budget, True):
         sat = res.is_sat
         if sat:
@@ -501,13 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def leaf(p, func, *flags, caps=()):
         """End a leaf: --out, the shared flags its handler reads, the caps
-        (Settings fields) it applies, which its manifest records, and the
-        handler."""
+        (Settings fields) it applies, which its manifest records and its
+        config file may set, the handler, and its name for errors."""
         p.add_argument("--out", help="write the main output here "
                                      "(default: stdout)")
         for flag in flags:
             p.add_argument(flag, **shared[flag])
-        p.set_defaults(func=func, caps=caps)
+        p.set_defaults(func=func, caps=caps, leaf=p.prog)
 
     vertex_cap = ("cap_vertices",)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -226,6 +226,10 @@ class HostTree:
     every index to one index as bitmasks over the same index; tops reads
     the components of the tree's restriction to a set of indices from the
     parent list.
+
+    Any vertex may be the root, which is its own parent: index 0 for
+    HostTree(g, t), g.vertices[0] for a tree drawn by the sampler (see
+    _from_parents). No query reads which vertex it is.
     """
 
     __slots__ = ("graph", "tree", "vertices", "index", "_nbrs", "_parent",
@@ -266,6 +270,23 @@ class HostTree:
         self._nbrs = nbrs
         self._parent = parent
         self._depth = depth
+
+    @classmethod
+    def _from_parents(cls, g: Graph, t: Graph, parent: List[int],
+                      depth: List[int]) -> "HostTree":
+        """The HostTree of t from its parent and depth lists over g's index,
+        unchecked: the caller built t as a spanning tree of g from
+        _spanning_subgraph, and parent and depth from the same edges, the
+        root its own parent. The neighbour lists are built when path_row
+        first needs them."""
+        host = cls.__new__(cls)
+        host.graph = g
+        host.tree = t
+        host.vertices, host.index = g.indexed()
+        host._nbrs = None
+        host._parent = parent
+        host._depth = depth
+        return host
 
     def _climb(self, i: int, j: int) -> List[int]:
         """Indices of the tree path from index i to index j, in order."""
@@ -318,6 +339,12 @@ class HostTree:
         indices: bit y of row[x] is set iff vertices[y] is on the path from
         vertices[x] to vertices[j]."""
         nbrs = self._nbrs
+        if nbrs is None:
+            nbrs = self._nbrs = [[] for _ in self._parent]
+            for x, p in enumerate(self._parent):
+                if p != x:
+                    nbrs[x].append(p)
+                    nbrs[p].append(x)
         row = [0] * len(nbrs)
         row[j] = 1 << j
         order = [j]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .constructions import GadgetInstance, GadgetSchedule
 from .decomposition import TreeDecomposition
@@ -30,6 +30,36 @@ def json_text(obj) -> str:
     raising json's ValueError.
     """
     return _text(obj, "\n")
+
+
+def json_chunks(obj) -> Iterator[str]:
+    """json_text(obj) in pieces that join to it. The top two container
+    levels go out item by item; each deeper value, and each scalar, is one
+    piece written by the same encoder, so a long document is never built
+    as one string."""
+    return _chunks(obj, "\n", 2)
+
+
+def _chunks(o, pad: str, levels: int) -> Iterator[str]:
+    """o as _text(o, pad) writes it, with levels container levels split
+    into pieces."""
+    if not levels or not o or not isinstance(o, (list, tuple, dict)):
+        yield _text(o, pad)
+        return
+    inner = pad + "  "
+    if isinstance(o, dict):
+        close = pad + "}"
+        items = [(_key(k) + ": ", v) for k, v in o.items()]
+        sep = "{" + inner
+    else:
+        close = pad + "]"
+        items = [("", x) for x in o]
+        sep = "[" + inner
+    for head, value in items:
+        yield sep + head
+        yield from _chunks(value, inner, levels - 1)
+        sep = "," + inner
+    yield close
 
 
 def _text(o, pad: str) -> str:

@@ -161,72 +161,81 @@ def count_spanning_trees(g: Graph, pivot_order: Optional[List[Vertex]] = None) -
     return _det_bareiss(lap)
 
 
-def _wilson(g: Graph) -> Callable[[random.Random], Graph]:
+def _wilson(g: Graph) -> Callable[[random.Random], HostTree]:
     """A sampler of uniformly random spanning trees of g (Wilson's
-    loop-erased random walk); g is checked to be connected once for all
-    the sampler's draws.
+    loop-erased random walk), each drawn as a HostTree; g is checked to be
+    connected once for all the sampler's draws.
 
-    The walk runs over integer neighbour lists on g's shared index and
-    emits canonical edges of g, so each tree is built without checks. It
-    starts from g.vertices[0] and walks from the other vertices in
-    g.vertices order. Each step draws as rng.choice over the neighbour
-    tuple does: getrandbits of the length's bit_length, redrawn while not
-    below the length. So the random stream, and every tree drawn from it,
-    is the one rng.choice would give.
+    The walk runs on g's shared index. It starts from g.vertices[0] and
+    walks from the other vertices in g.vertices order. Each step reads the
+    vertex's bit width k and its neighbour indices padded with None to 2**k
+    entries, takes one getrandbits(k) and redraws on a pad, as rng.choice
+    over the neighbour tuple does: so the random stream, and every tree
+    drawn from it, is the one rng.choice would give. The walk's successor
+    array is the tree's parent list, rooted at g.vertices[0]; depths are
+    set as each loop-erased path joins the tree, and the tree's edges are
+    canonical edges of g, so the HostTree is built without checks.
     """
     if not is_connected(g):
         raise ValueError("need a connected graph")
     verts, index = g.indexed()
-    nbrs = [[index[w] for w in g.neighbors(v)] for v in verts]
-    lens = [len(a) for a in nbrs]
-    bits = [m.bit_length() for m in lens]
+    steps = []
+    for v in verts:
+        ws = [index[w] for w in g.neighbors(v)]
+        k = len(ws).bit_length()
+        steps.append((k, tuple(ws) + (None,) * ((1 << k) - len(ws))))
     root, *starts = [index[v] for v in g.vertices]
     n = len(verts)
 
-    def draw(rng: random.Random) -> Graph:
+    def draw(rng: random.Random) -> HostTree:
         getrandbits = rng.getrandbits
-        in_tree = [False] * n
-        in_tree[root] = True
+        parent = [-1] * n  # -1: not yet in the tree
+        parent[root] = root
+        depth = [0] * n
         nxt = [0] * n
         edges = []
         for v in starts:
             u = v
-            while not in_tree[u]:
-                m, k = lens[u], bits[u]
-                r = getrandbits(k)
-                while r >= m:
-                    r = getrandbits(k)
-                nxt[u] = nbrs[u][r]
-                u = nxt[u]
+            while parent[u] < 0:
+                k, row = steps[u]
+                w = row[getrandbits(k)]
+                while w is None:
+                    w = row[getrandbits(k)]
+                nxt[u] = w
+                u = w
+            path = []
             u = v
-            while not in_tree[u]:
-                in_tree[u] = True
-                w = nxt[u]
+            while parent[u] < 0:
+                w = parent[u] = nxt[u]
+                path.append(u)
                 # sorted index: the smaller index names the smaller vertex
                 edges.append((verts[u], verts[w]) if u < w
                              else (verts[w], verts[u]))
                 u = w
-        return g._spanning_subgraph(edges)
+            d = depth[u] + len(path)
+            for x in path:
+                depth[x] = d
+                d -= 1
+        return HostTree._from_parents(g, g._spanning_subgraph(edges), parent,
+                                      depth)
 
     return draw
 
 
-def sample_spanning_tree(g: Graph, rng: random.Random) -> Graph:
-    """One uniformly random spanning tree (loop-erased random walk)."""
-    return _wilson(g)(rng)
-
-
-def sample_spanning_trees(g: Graph, count: int, seed: int = 0) -> Iterator[Graph]:
+def sample_spanning_trees(g: Graph, count: int, seed: int = 0, *,
+                          hosts: bool = False) -> Iterator:
     """count uniformly random spanning trees drawn lazily from one seeded
-    stream, the trees count calls of sample_spanning_tree on
-    random.Random(seed) would give. A negative count or a disconnected g
-    raises here, before anything is drawn; g is checked and indexed once
-    for the whole stream."""
+    stream random.Random(seed), as Graphs, or with hosts=True as the
+    HostTrees the walk builds (their .tree is the Graph). A negative count
+    or a disconnected g raises here, before anything is drawn; g is
+    checked and indexed once for the whole stream."""
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
     draw = _wilson(g)
     rng = random.Random(seed)
-    return (draw(rng) for _ in range(count))
+    if hosts:
+        return (draw(rng) for _ in range(count))
+    return (draw(rng).tree for _ in range(count))
 
 
 # -------------------------------------------------------------- decider

@@ -7,7 +7,8 @@ rng.choice for the spanning-tree walk, relabelling for the reflected
 tree, and name-set recursion with breadth-first search for the
 certificate. None of it shares code with the
 engines under test beyond the basic graph and reflected-tree types and the
-validator.
+validator. sample_spanning_tree alone is no oracle: it is one draw of the
+package's own sampler, kept here because only tests draw single trees.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from tdforge.decomposition import from_subtrees, is_anchored, validate
 from tdforge.errors import StructureViolation
 from tdforge.graphs import (Edge, Graph, Vertex, component_in, connected_in,
                             is_connected, is_spanning_tree, path_edges)
+from tdforge.search import _wilson
 
 
 def enumerate_induced_subtrees(t: Graph, anchor: str) -> Iterator[FrozenSet[str]]:
@@ -245,6 +247,12 @@ def choice_spanning_tree(g: Graph, rng: random.Random) -> Graph:
             parent[u] = nxt[u]
             u = nxt[u]
     return Graph(verts, [(c, p) for c, p in parent.items()])
+
+
+def sample_spanning_tree(g: Graph, rng: random.Random) -> Graph:
+    """One draw of the package's sampler on rng, as a Graph: the single
+    tree the tests compare with choice_spanning_tree, or use as a host."""
+    return _wilson(g)(rng).tree
 
 
 def relabel(g: Graph, fn) -> Graph:

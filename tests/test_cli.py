@@ -525,6 +525,26 @@ class TestSearchCommands:
                      "--config", "caps.cfg"]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_config_key_the_leaf_does_not_apply(self, tmp_path, capsys):
+        """A known cap that the leaf does not apply is a usage error naming
+        the key and the leaf, and the manifest is still written."""
+        write_graph(cycle_graph(4), "g.json")
+        for key, leaf, argv, applied in (
+                ("cap_vertices", "search spanning",
+                 ["--graph", "g.json", "--count-only"], "enum_cap"),
+                ("tw_cap", "certify", ["--r", "3", "--all"],
+                 "cap_vertices, enum_cap"),
+                ("enum_cap", "search tw", ["--graph", "g.json"], "tw_cap")):
+            (tmp_path / "caps.cfg").write_text(f"# caps\n{key} = 1\n")
+            assert main(leaf.split() + argv + ["--config", "caps.cfg",
+                                               "--out", "o.json"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: caps.cfg:2: tdforge {leaf} does not apply key "
+                f"{key!r}; it applies {applied}\n")
+            manifest = load_json("o.json.manifest.json")
+            assert (manifest["exit_code"], manifest["error"]) == (2, "ValueError")
+            assert not os.path.exists("o.json")
+
 
 class TestVerify:
     def test_valid_anchored(self, capsys):
@@ -767,6 +787,25 @@ class TestPinnedOutputs:
     ])
     def test_digest(self, tmp_path, capsys, argv, digest):
         assert self.digest(tmp_path, argv) == digest
+
+    def test_sampled_pipeline_digest(self, tmp_path, capsys):
+        """pipeline --k 1 with enum_cap below the core's 96 trees samples
+        10,000 of them, and certifies and decides each on the HostTree the
+        walk built."""
+        (tmp_path / "caps.cfg").write_text("enum_cap = 10\n")
+        assert self.digest(tmp_path, [
+            "pipeline", "--k", "1", "--seed", "3", "--config", "caps.cfg"]) == (
+            "82261d8c364c79a875399bfc9812d4b216093eaa8019696877d741fea2713294")
+        report = load_json("out.json")
+        assert report["checks"][2]["mode"] == "sampled"
+
+    def test_stdout_has_the_bytes_of_out(self, tmp_path, capsysbinary):
+        """The chunked writer gives stdout the bytes it gives --out."""
+        argv = ["certify", "--r", "7", "--sample", "50", "--seed", "1"]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(argv + ["--out", "out.json"]) == 0
+        assert stdout == (tmp_path / "out.json").read_bytes()
 
     @classmethod
     def digest(cls, tmp_path, argv):

@@ -122,3 +122,49 @@ def test_no_indented_json_dumps():
     for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             assert indented_json_calls(fh.read()) == [], module
+
+
+def json_text_callers(source: str):
+    """The qualified names (Class.method or function) of the functions
+    that call a function named json_text, such as io.json_text, and
+    "<module>" for a call outside any function."""
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "attr",
+                                getattr(child.func, "id", None)) == "json_text"):
+                callers.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(callers)
+
+
+def test_json_text_checker_names_the_callers():
+    source = ("from .io import json_text\n"
+              "import io\n"
+              "top = json_text({})\n"
+              "class Run:\n"
+              "    def finish(self):\n"
+              "        return io.json_text({}) + json_text([])\n"
+              "    def write(self, obj):\n"
+              "        def inner():\n"
+              "            return io.json_text(obj)\n"
+              "        return inner\n"
+              "def cmd(run):\n"
+              "    return io.json_chunks(run)\n")
+    assert json_text_callers(source) == [
+        "<module>", "Run.finish", "Run.finish", "Run.write.inner"]
+
+
+def test_cli_writes_whole_json_strings_only_for_the_manifest():
+    """Command outputs go out through io.json_chunks; only the run
+    manifest, which is small, is built as one json_text string."""
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
+        assert set(json_text_callers(fh.read())) <= {"Run.finish"}

@@ -277,6 +277,49 @@ class TestJsonText:
         assert str(got.value) == str(want.value)
 
 
+class TestJsonChunks:
+    """io.json_chunks yields pieces that join to io.json_text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_VALUES)
+    def test_joins_to_json_text(self, obj):
+        assert "".join(io.json_chunks(obj)) == io.json_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, (), [[]], {"a": []}, [[[]], {}, ()], "top", 7, None,
+        {"a": [{"b": [[], {}]}], "c": ({},)}, [["a", "b"], ["c", "d"]],
+        {2: "int", None: "none", "s": ["x", ("y", "z")]},
+    ])
+    def test_edge_cases(self, obj):
+        assert "".join(io.json_chunks(obj)) == io.json_text(obj)
+
+    def test_unserializable_raises_json_type_error(self):
+        for obj in ({"a": [{1, 2}]}, [{(1, 2): "tuple key"}], [[b"deep"]]):
+            with pytest.raises(TypeError) as want:
+                io.json_text(obj)
+            with pytest.raises(TypeError) as got:
+                "".join(io.json_chunks(obj))
+            assert str(got.value) == str(want.value)
+
+    def test_level7_certify_document(self):
+        """The document certify --r 7 --sample 50 --seed 1 writes: one
+        piece per key and per certificate, none of them the whole."""
+        from tdforge.certificates import MatchingPlan
+        from tdforge.search import sample_spanning_trees
+        rt = reflected_tree(7)
+        plan = MatchingPlan(rt)
+        certs = [io.certificate_to_obj(reflected_matching(rt, host, plan))
+                 for host in sample_spanning_trees(rt.graph, 50, seed=1,
+                                                   hosts=True)]
+        doc = {"mode": "sampled", "count": 50, "seed": 1,
+               "certificates": certs}
+        chunks = list(io.json_chunks(doc))
+        text = io.json_text(doc)
+        assert "".join(chunks) == text
+        assert len(chunks) > 50
+        assert max(map(len, chunks)) < len(text) // 10
+
+
 class TestDot:
     def test_graph_dot(self):
         g = Graph(["a", "b"], [("a", "b")])

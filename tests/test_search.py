@@ -33,13 +33,12 @@ from tdforge.search import (
     min_anchored_spanning_width,
     min_width_on_tree,
     minor_min_width,
-    sample_spanning_tree,
     sample_spanning_trees,
 )
 from generators import oracle_corpus, random_connected_graph, random_tree
 from oracles import (bfs_path, brute_count_spanning_trees, brute_treewidth,
                      choice_spanning_tree, flood_reach, naive_decide,
-                     naive_threshold)
+                     naive_threshold, sample_spanning_tree)
 
 
 class TestEnumerateSpanningTrees:
@@ -140,12 +139,14 @@ class TestSampleSpanningTree:
         for _ in range(count):
             got, want = sample_spanning_tree(g, rng), choice_spanning_tree(g, ref)
             assert (got.vertices, got.edges) == (want.vertices, want.edges)
-        assert rng.getstate() == ref.getstate()
+            assert rng.getstate() == ref.getstate()
         ref = random.Random(seed)
-        stream = [(t.vertices, t.edges)
-                  for t in sample_spanning_trees(g, count, seed=seed)]
-        assert stream == [(t.vertices, t.edges) for t in
-                          (choice_spanning_tree(g, ref) for _ in range(count))]
+        want = [(t.vertices, t.edges) for t in
+                (choice_spanning_tree(g, ref) for _ in range(count))]
+        assert [(t.vertices, t.edges) for t in
+                sample_spanning_trees(g, count, seed=seed)] == want
+        assert [(h.tree.vertices, h.tree.edges) for h in
+                sample_spanning_trees(g, count, seed=seed, hosts=True)] == want
 
     def test_disconnected_graph_refused_at_call(self):
         """The stream checks g once, when called, as it checks the count:
@@ -165,6 +166,75 @@ class TestSampleSpanningTree:
         assert len(counts) == 4
         # 5 sigma around the uniform expectation of 250
         assert all(180 <= c <= 320 for c in counts.values())
+
+
+class TestWalkedHostTree:
+    """The sampler's HostTree, built from the walk's successor array and
+    rooted at g.vertices[0], answers every query that does not depend on
+    the root as the checked HostTree(g, t) over the same tree does."""
+
+    @staticmethod
+    def assert_same_queries(g, walked, rng, pairs=None):
+        t = walked.tree
+        # the walk builds neither the tree's adjacency nor neighbour lists
+        assert t._adj is None and walked._nbrs is None
+        assert t._index is g.indexed()
+        assert walked.vertices is g.indexed()[0]
+        assert walked.index is g.indexed()[1]
+        root = walked.index[g.vertices[0]]
+        assert walked._parent[root] == root and walked._depth[root] == 0
+        checked = HostTree(g, t)
+        for j in range(len(g)):
+            assert walked.path_row(j) == checked.path_row(j)
+        vs = g.vertices
+        if pairs is None:
+            pairs = [(a, b) for a in vs for b in vs]
+        else:
+            pairs = [(rng.choice(vs), rng.choice(vs)) for _ in range(pairs)]
+        for a, b in pairs:
+            assert walked.path(a, b) == checked.path(a, b)
+        for e in sorted(g.edges - t.edges):
+            assert walked.cycle(e) == checked.cycle(e)
+
+        def parts(host, members):
+            got = {}
+            for i, top in host.tops(members).items():
+                got.setdefault(top, set()).add(i)
+            return sorted(map(sorted, got.values()))
+
+        for _ in range(10):
+            members = rng.sample(range(len(g)), rng.randint(1, len(g)))
+            assert parts(walked, members) == parts(checked, members)
+        return checked
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=9),
+           st.sampled_from([0.3, 0.5, 0.8]),
+           st.integers(min_value=0, max_value=2 ** 31),
+           st.integers(min_value=0, max_value=2 ** 31))
+    def test_hypothesis_graphs(self, n, p, graph_seed, seed):
+        """Vertex order shuffled, so the walk's root is rarely index 0."""
+        rng = random.Random(graph_seed)
+        vs = [f"x{i}" for i in range(n)]
+        rng.shuffle(vs)
+        g = Graph(vs, random_connected_graph(rng, n, p).edges)
+        for walked in sample_spanning_trees(g, 3, seed=seed, hosts=True):
+            self.assert_same_queries(g, walked, rng)
+
+    @pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
+    def test_reflected_trees(self, level):
+        """Levels 3-7, seeds 1-3: the same queries, and equal certificates
+        from either host."""
+        from tdforge.certificates import MatchingPlan, reflected_matching
+        rt = reflected_tree(level)
+        g = rt.graph
+        plan = MatchingPlan(rt)
+        rng = random.Random(level)
+        for seed in (1, 2, 3):
+            for walked in sample_spanning_trees(g, 2, seed=seed, hosts=True):
+                checked = self.assert_same_queries(g, walked, rng, pairs=300)
+                assert (reflected_matching(rt, walked, plan)
+                        == reflected_matching(rt, checked, plan))
 
 
 class TestTreesFromCheckedGraphs:
