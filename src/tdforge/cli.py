@@ -17,7 +17,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__, io
@@ -116,8 +115,10 @@ class Run:
     def write(self, obj, path: Optional[str], to_dot: bool = False) -> None:
         """Write obj's JSON text and a newline, or the DOT text obj, to
         path or to stdout. JSON goes out in io.json_chunks pieces, so the
-        whole document is never one string."""
-        chunks = [obj] if to_dot else chain(io.json_chunks(obj), ["\n"])
+        whole document is never one string. Every piece is encoded before
+        anything is opened or written, so a value JSON cannot encode
+        raises with no output written."""
+        chunks = [obj] if to_dot else [*io.json_chunks(obj), "\n"]
         if path is None:
             sys.stdout.writelines(chunks)
         else:
@@ -270,8 +271,7 @@ def cmd_certify(run: Run, args) -> int:
     count = args.sample if args.sample is not None else DEFAULT_SAMPLE
     plan = MatchingPlan(rt)
     certs = [io.certificate_to_obj(reflected_matching(rt, host, plan))
-             for host in sample_spanning_trees(rt.graph, count, seed=run.seed,
-                                               hosts=True)]
+             for host in sample_spanning_trees(rt.graph, count, seed=run.seed)]
     run.write({"mode": "sampled", "count": count, "seed": run.seed,
                "certificates": certs}, args.out)
     return EXIT_OK
@@ -414,8 +414,7 @@ def cmd_pipeline(run: Run, args) -> int:
     else:
         mode = {"mode": "sampled", "count": DEFAULT_SAMPLE, "seed": run.seed,
                 "population": str(total)}
-        hosts = sample_spanning_trees(core.graph, DEFAULT_SAMPLE,
-                                      seed=run.seed, hosts=True)
+        hosts = sample_spanning_trees(core.graph, DEFAULT_SAMPLE, seed=run.seed)
 
     def certified(hosts):
         """Pass every host tree on, certifying each until the first

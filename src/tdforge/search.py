@@ -222,20 +222,18 @@ def _wilson(g: Graph) -> Callable[[random.Random], HostTree]:
     return draw
 
 
-def sample_spanning_trees(g: Graph, count: int, seed: int = 0, *,
-                          hosts: bool = False) -> Iterator:
+def sample_spanning_trees(g: Graph, count: int,
+                          seed: int = 0) -> Iterator[HostTree]:
     """count uniformly random spanning trees drawn lazily from one seeded
-    stream random.Random(seed), as Graphs, or with hosts=True as the
-    HostTrees the walk builds (their .tree is the Graph). A negative count
-    or a disconnected g raises here, before anything is drawn; g is
-    checked and indexed once for the whole stream."""
+    stream random.Random(seed), each as the HostTree the walk builds (its
+    .tree is the Graph). A negative count or a disconnected g raises here,
+    before anything is drawn; g is checked and indexed once for the whole
+    stream."""
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
     draw = _wilson(g)
     rng = random.Random(seed)
-    if hosts:
-        return (draw(rng) for _ in range(count))
-    return (draw(rng).tree for _ in range(count))
+    return (draw(rng) for _ in range(count))
 
 
 # -------------------------------------------------------------- decider

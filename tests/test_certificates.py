@@ -105,14 +105,15 @@ class TestAgainstReference:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sampled_trees(self, level, seed):
         rt = reflected_tree(level)
-        trees = sample_spanning_trees(rt.graph, 25, seed=seed)
+        trees = (h.tree for h in sample_spanning_trees(rt.graph, 25, seed=seed))
         assert assert_matches_reference(rt, trees) == 25
 
     def test_host_tree_input(self):
         """A checked HostTree gives the certificate its Graph gives."""
         rt = reflected_tree(4)
         plan = MatchingPlan(rt)
-        for t in sample_spanning_trees(rt.graph, 20, seed=4):
+        for walked in sample_spanning_trees(rt.graph, 20, seed=4):
+            t = walked.tree
             assert (reflected_matching(rt, HostTree(rt.graph, t), plan)
                     == reflected_matching(rt, t))
 
@@ -121,7 +122,7 @@ class TestAgainstReference:
         with the reference's ValueError, as a Graph and (for the tree of
         another level) as a HostTree; so is a plan of another level."""
         rt4, rt5 = reflected_tree(4), reflected_tree(5)
-        t4 = next(iter(sample_spanning_trees(rt4.graph, 1, seed=1)))
+        t4 = next(sample_spanning_trees(rt4.graph, 1, seed=1)).tree
         not_spanning = Graph(rt4.graph.vertices, sorted(t4.edges)[1:])
         for rt, t in [(rt4, not_spanning), (rt5, t4)]:
             with pytest.raises(ValueError) as want:

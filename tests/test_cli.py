@@ -807,6 +807,31 @@ class TestPinnedOutputs:
         assert main(argv + ["--out", "out.json"]) == 0
         assert stdout == (tmp_path / "out.json").read_bytes()
 
+    def test_unencodable_value_writes_no_output(self, monkeypatch, capsys):
+        """A value JSON cannot encode, deep in the last certificate, raises
+        before the output is opened: no file for --out, nothing on
+        stdout, and the manifest records the error."""
+        real = io.certificate_to_obj
+        built = []
+
+        def poisoned(cert):
+            obj = real(cert)
+            built.append(obj)
+            if len(built) % 3 == 0:
+                obj = {**obj, "extra": [[{1, 2}]]}
+            return obj
+
+        monkeypatch.setattr(io, "certificate_to_obj", poisoned)
+        argv = ["certify", "--r", "4", "--sample", "3", "--seed", "1"]
+        for out in ([], ["--out", "out.json"]):
+            with pytest.raises(TypeError, match="set is not JSON"):
+                main(argv + out)
+            assert capsys.readouterr().out == ""
+        assert not os.path.exists("out.json")
+        manifest = load_json("out.json.manifest.json")
+        assert (manifest["exit_code"], manifest["error"]) == (1, "TypeError")
+        assert manifest["outputs"] == []
+
     @classmethod
     def digest(cls, tmp_path, argv):
         assert main(argv + ["--out", "out.json"]) == 0
@@ -864,7 +889,7 @@ class TestPinnedOutputs:
         from tdforge.search import sample_spanning_trees
         g = reflected_tree(4).graph
         write_graph(g, "g.json")
-        write_graph(next(sample_spanning_trees(g, 1, seed=43)), "host.json")
+        write_graph(next(sample_spanning_trees(g, 1, seed=43)).tree, "host.json")
         assert self.decide_digest(tmp_path, [
             "search", "decide", "--graph", "g.json", "--host", "host.json",
             "--budget", "2", "--anchored"]) == (

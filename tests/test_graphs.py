@@ -287,7 +287,7 @@ class TestSharedIndex:
         g = reflected_tree(3).graph
         shared = g.indexed()
         assert g._spanning_subgraph(sorted(g.edges)[:1]).indexed() is shared
-        trees = list(sample_spanning_trees(g, 5, seed=1))
+        trees = [h.tree for h in sample_spanning_trees(g, 5, seed=1)]
         trees += itertools.islice(enumerate_spanning_trees(g), 5)
         for t in trees:
             assert t.indexed() is shared

@@ -309,8 +309,7 @@ class TestJsonChunks:
         rt = reflected_tree(7)
         plan = MatchingPlan(rt)
         certs = [io.certificate_to_obj(reflected_matching(rt, host, plan))
-                 for host in sample_spanning_trees(rt.graph, 50, seed=1,
-                                                   hosts=True)]
+                 for host in sample_spanning_trees(rt.graph, 50, seed=1)]
         doc = {"mode": "sampled", "count": 50, "seed": 1,
                "certificates": certs}
         chunks = list(io.json_chunks(doc))

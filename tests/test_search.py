@@ -106,10 +106,10 @@ class TestSampleSpanningTree:
 
     def test_seeded_stream_is_deterministic(self):
         g = complete_graph(5)
-        a = [t.edges for t in sample_spanning_trees(g, 6, seed=7)]
-        b = [t.edges for t in sample_spanning_trees(g, 6, seed=7)]
+        a = [h.tree.edges for h in sample_spanning_trees(g, 6, seed=7)]
+        b = [h.tree.edges for h in sample_spanning_trees(g, 6, seed=7)]
         assert a == b
-        assert a != [t.edges for t in sample_spanning_trees(g, 6, seed=8)]
+        assert a != [h.tree.edges for h in sample_spanning_trees(g, 6, seed=8)]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=9),
@@ -143,10 +143,8 @@ class TestSampleSpanningTree:
         ref = random.Random(seed)
         want = [(t.vertices, t.edges) for t in
                 (choice_spanning_tree(g, ref) for _ in range(count))]
-        assert [(t.vertices, t.edges) for t in
-                sample_spanning_trees(g, count, seed=seed)] == want
         assert [(h.tree.vertices, h.tree.edges) for h in
-                sample_spanning_trees(g, count, seed=seed, hosts=True)] == want
+                sample_spanning_trees(g, count, seed=seed)] == want
 
     def test_disconnected_graph_refused_at_call(self):
         """The stream checks g once, when called, as it checks the count:
@@ -161,8 +159,8 @@ class TestSampleSpanningTree:
     def test_square_samples_roughly_uniform(self):
         g = cycle_graph(4)
         counts = {}
-        for t in sample_spanning_trees(g, 1000, seed=1):
-            counts[t.edges] = counts.get(t.edges, 0) + 1
+        for h in sample_spanning_trees(g, 1000, seed=1):
+            counts[h.tree.edges] = counts.get(h.tree.edges, 0) + 1
         assert len(counts) == 4
         # 5 sigma around the uniform expectation of 250
         assert all(180 <= c <= 320 for c in counts.values())
@@ -218,7 +216,7 @@ class TestWalkedHostTree:
         vs = [f"x{i}" for i in range(n)]
         rng.shuffle(vs)
         g = Graph(vs, random_connected_graph(rng, n, p).edges)
-        for walked in sample_spanning_trees(g, 3, seed=seed, hosts=True):
+        for walked in sample_spanning_trees(g, 3, seed=seed):
             self.assert_same_queries(g, walked, rng)
 
     @pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
@@ -231,7 +229,7 @@ class TestWalkedHostTree:
         plan = MatchingPlan(rt)
         rng = random.Random(level)
         for seed in (1, 2, 3):
-            for walked in sample_spanning_trees(g, 2, seed=seed, hosts=True):
+            for walked in sample_spanning_trees(g, 2, seed=seed):
                 checked = self.assert_same_queries(g, walked, rng, pairs=300)
                 assert (reflected_matching(rt, walked, plan)
                         == reflected_matching(rt, checked, plan))
@@ -260,8 +258,8 @@ class TestTreesFromCheckedGraphs:
         graphs += oracle_corpus()[::10]
         for seed, g in enumerate(graphs):
             ref = random.Random(seed)
-            for t in sample_spanning_trees(g, 5, seed=seed):
-                self.assert_checked(g, t, choice_spanning_tree(g, ref))
+            for h in sample_spanning_trees(g, 5, seed=seed):
+                self.assert_checked(g, h.tree, choice_spanning_tree(g, ref))
 
     def test_enumerated_trees(self):
         """All 96 level-3 trees, and every tree of a slice of the oracle
