@@ -16,8 +16,8 @@ from .errors import (CapExceeded, CertificateContradiction, HostNotSpanning,
                      HypothesisViolated, ReductionInvalid, ScheduleTooLarge,
                      SizeExceeded, StructureViolation, TdforgeError)
 from .graphs import (Cycle, Graph, Matching, complete_graph, cycle_graph, edge,
-                     fundamental_cycle, is_connected, is_spanning_tree, is_tree,
-                     path_graph, tree_diameter, tree_path)
+                     is_connected, is_spanning_tree, is_tree, path_graph,
+                     tree_diameter)
 from .search import (DeciderResult, check_longpath_property,
                      count_spanning_trees, decide_over_trees,
                      enumerate_spanning_trees, exact_treewidth,

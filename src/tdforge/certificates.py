@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .constructions import ReflectedTree
 from .decomposition import TreeDecomposition, _anchored, validate
 from .errors import CertificateContradiction, HypothesisViolated, StructureViolation
-from .graphs import Edge, Graph, HostTree, Matching, Vertex, edge, path_edges
+from .graphs import Edge, Graph, HostTree, Matching, Vertex, edge
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,10 @@ class WidthCertificate:
 class _Side:
     """One copy of a reflected tree joined to the level's roots u and v:
     the copy's edge set and order, the two edges that attach it to u and v,
-    the side's members and its edges as indices, the edges in sorted order,
-    and the copy's own plan."""
+    the side's edges as index pairs in sorted order, and the copy's own
+    plan."""
 
-    __slots__ = ("copy_edges", "copy_order", "attach", "members", "pairs",
-                 "child")
+    __slots__ = ("copy_edges", "copy_order", "attach", "pairs", "child")
 
     def __init__(self, copy: ReflectedTree, u: Vertex, v: Vertex,
                  index: Dict[Vertex, int]):
@@ -46,7 +45,6 @@ class _Side:
         self.copy_edges = g.edges
         self.copy_order = len(g)
         self.attach = (edge(u, copy.roots[0]), edge(v, copy.roots[-1]))
-        self.members = [index[u], index[v]] + [index[x] for x in g.vertices]
         # the index is sorted, so sorted index pairs are the sorted edges
         self.pairs = sorted((index[a], index[b])
                             for a, b in g.edges.union(self.attach))
@@ -54,13 +52,14 @@ class _Side:
 
 
 class _Level:
-    """The plan of one reflected tree: its level, and either its two sides
-    or, at level 2, its edge set."""
+    """The plan of one reflected tree: its level, its roots as indices,
+    and either its two sides or, at level 2, its edge set."""
 
-    __slots__ = ("level", "sides", "edges")
+    __slots__ = ("level", "roots", "sides", "edges")
 
     def __init__(self, rt: ReflectedTree, index: Dict[Vertex, int]):
         self.level = rt.level
+        self.roots = (index[rt.roots[0]], index[rt.roots[1]])
         if rt.level == 2:
             self.sides, self.edges = None, rt.graph.edges
         else:
@@ -70,12 +69,12 @@ class _Level:
 
 class MatchingPlan:
     """What reflected_matching reads at each level of one reflected tree,
-    built once for all the trees one command certifies: for each side
-    (a copy with the level's roots u and v), its size, its edges, its
-    members as indices into the graph's shared index, and its edges in
-    sorted order. Sets and edges are the reflected tree's own objects, so
-    a plan is small (45 KB beside the 379 KB of the level-7 tree), but it
-    still lives only as long as the command that builds it: nothing
+    built once for all the trees one command certifies: the level's roots
+    u and v as indices into the graph's shared index, and for each side
+    (a copy with u and v) its size, its edges, and its edges as index
+    pairs in sorted order. Sets and edges are the reflected tree's own
+    objects, so a plan adds only its index pairs and small objects, but
+    it still lives only as long as the command that builds it: nothing
     caches it."""
 
     __slots__ = ("graph", "_top")
@@ -95,10 +94,15 @@ def _collect_matching(plan: MatchingPlan, host: HostTree) -> List[Edge]:
     a vertex set is a forest with one component per vertex more than it
     has edges: a side is connected iff t has one edge fewer inside it than
     it has vertices, and the disconnected side must have exactly one edge
-    fewer than that (two components). The components are told apart by
-    the tops of the host's parent list, and the crossing edge is the
-    first non-tree edge of the side, in sorted order, whose ends lie in
-    different components.
+    fewer than that (two components). The crossing edge is the first
+    non-tree edge of that side, in sorted order, whose ends lie in
+    different components, and those are the edges whose tree path passes
+    through both u and v. The connected side holds a u-v tree path, so u
+    and v fall in different components of the other side, or t would
+    have a cycle. The copy meets the rest of the graph only at u and v,
+    so a pair in different components has a tree path that leaves the
+    side through one root and comes back through the other. A pair in one
+    component has its tree path inside it, which holds at most one root.
     """
     tedges = host.tree.edges
     vertices, parent = host.vertices, host._parent
@@ -127,11 +131,15 @@ def _collect_matching(plan: MatchingPlan, host: HostTree) -> List[Edge]:
             raise StructureViolation(
                 f"level {level.level}: disconnected side fell into {comps} "
                 "components, expected 2")
-        top = host.tops(other.members)
+        ru, rv = level.roots
         for i, j in other.pairs:
             # (i, j) is an edge of the graph, so a tree edge iff one end
             # is the other's parent
-            if parent[i] != j and parent[j] != i and top[i] != top[j]:
+            if parent[i] == j or parent[j] == i:
+                continue
+            path, top = host._below(i, j)
+            path.add(top)
+            if ru in path and rv in path:
                 crossings.append((vertices[i], vertices[j]))
                 break
         else:
@@ -249,7 +257,7 @@ def verify_certificate(rt: ReflectedTree, cert: WidthCertificate) -> Certificate
     if reasons:
         return CertificateCheck(False, tuple(reasons))
     u, v = rt.roots
-    puv = path_edges(host.path(u, v))
+    puv = host._edges(host._below(host.index[u], host.index[v])[0])
     for e in edges:
         cyc = host.cycle(e)
         if cyc.vertices != cert.cycles[e]:

@@ -1,4 +1,6 @@
-"""Immutable simple graphs and the tree primitives everything else builds on.
+"""Immutable simple graphs, connectivity and tree predicates, small graph
+families, and HostTree: a spanning tree checked once and indexed for the
+tree paths that the certificates and the decider read.
 
 Vertex identifiers are opaque tokens; they only need to be hashable and
 mutually order-comparable (strings throughout this package). All operations
@@ -201,11 +203,6 @@ def is_spanning_tree(g: Graph, t: Graph) -> bool:
     return (t.vertex_set == g.vertex_set and t.edges <= g.edges and is_tree(t))
 
 
-def path_edges(path: List[Vertex]) -> FrozenSet[Edge]:
-    """Edge set of a vertex path."""
-    return frozenset(edge(u, v) for u, v in zip(path, path[1:]))
-
-
 @dataclass(frozen=True)
 class Cycle:
     """A cycle given by its vertex set and edge set."""
@@ -220,12 +217,12 @@ class HostTree:
     Construction checks that t is a spanning tree of g and takes g's shared
     index (vertices in sorted order, and index), so only the traversal is
     left: over t's edges as index pairs, rooted at index 0, it records each
-    index's neighbours, parent and depth. Path and cycle queries then climb
-    from both ends to the common ancestor, in time linear in the answer's
-    length, without re-checking the tree. path_row gives the paths from
-    every index to one index as bitmasks over the same index; tops reads
-    the components of the tree's restriction to a set of indices from the
-    parent list.
+    index's neighbours, parent and depth. Two walkers read the tree
+    without re-checking it. _below climbs from both ends of a path to
+    their common ancestor, in time linear in the path's length; cycle and
+    the certificates read paths from it, and _edges names their edges.
+    path_row gives the paths from every index to one index as bitmasks
+    over the same index, for the decider.
 
     Any vertex may be the root, which is its own parent: index 0 for
     HostTree(g, t), g.vertices[0] for a tree drawn by the sampler (see
@@ -288,25 +285,6 @@ class HostTree:
         host._depth = depth
         return host
 
-    def _climb(self, i: int, j: int) -> List[int]:
-        """Indices of the tree path from index i to index j, in order."""
-        depth, parent = self._depth, self._parent
-        up, down = [i], [j]
-        while depth[i] > depth[j]:
-            i = parent[i]
-            up.append(i)
-        while depth[j] > depth[i]:
-            j = parent[j]
-            down.append(j)
-        while i != j:
-            i = parent[i]
-            j = parent[j]
-            up.append(i)
-            down.append(j)
-        down.pop()  # the common ancestor, already last in up
-        up.extend(reversed(down))
-        return up
-
     def _below(self, i: int, j: int) -> Tuple[Set[int], int]:
         """The tree path between indices i and j as the set of its indices
         below its top (the common ancestor), each of which names its parent
@@ -326,13 +304,13 @@ class HostTree:
             j = parent[j]
         return below, i
 
-    def path(self, a: Vertex, b: Vertex) -> List[Vertex]:
-        """The unique tree path from a to b, as a vertex list; [a] when a == b."""
-        index = self.index
-        if a not in index or b not in index:
-            raise ValueError(f"{a!r} or {b!r} not in the tree")
-        vertices = self.vertices
-        return [vertices[x] for x in self._climb(index[a], index[b])]
+    def _edges(self, below: AbstractSet[int]) -> Set[Edge]:
+        """The canonical edges that the indices below name, each the edge
+        to its parent. The index is sorted, so the lower index names the
+        lower end."""
+        vertices, parent = self.vertices, self._parent
+        return {(vertices[x], vertices[parent[x]]) if x < parent[x]
+                else (vertices[parent[x]], vertices[x]) for x in below}
 
     def path_row(self, j: int) -> List[int]:
         """The tree paths from every index to index j as bitmasks over
@@ -355,18 +333,6 @@ class HostTree:
                     order.append(y)
         return row
 
-    def tops(self, members: Iterable[int]) -> Dict[int, int]:
-        """Each of the indices members, mapped to the top of its component
-        in the tree restricted to members. A component's top is its member
-        nearest the root: the root itself, or a member whose parent is not
-        a member. Members are visited by depth, so every other member takes
-        its parent's top after the parent has taken one."""
-        parent = self._parent
-        top: Dict[int, int] = {}
-        for i in sorted(members, key=self._depth.__getitem__):
-            top[i] = top.get(parent[i], i)
-        return top
-
     def cycle(self, e) -> Cycle:
         """The unique cycle closed by the non-tree edge e of g."""
         u, v = edge(*e)
@@ -374,32 +340,12 @@ class HostTree:
             raise ValueError(f"{(u, v)!r} is not an edge of g")
         if (u, v) in self.tree.edges:
             raise ValueError(f"{(u, v)!r} is a tree edge")
-        vertices, parent = self.vertices, self._parent
+        vertices = self.vertices
         below, top = self._below(self.index[u], self.index[v])
-        # the index is sorted, so the lower index names the lower end
-        edges = {(vertices[x], vertices[parent[x]]) if x < parent[x]
-                 else (vertices[parent[x]], vertices[x]) for x in below}
+        edges = self._edges(below)
         edges.add((u, v))
         return Cycle(frozenset([vertices[x] for x in below] + [vertices[top]]),
                      frozenset(edges))
-
-
-def tree_path(t: Graph, a: Vertex, b: Vertex) -> List[Vertex]:
-    """The unique path from a to b in the tree t, as a vertex list.
-
-    tree_path(t, a, a) is [a].
-    """
-    try:
-        host = HostTree(t, t)
-    except ValueError:
-        raise ValueError("tree_path needs a tree") from None
-    return host.path(a, b)
-
-
-def fundamental_cycle(g: Graph, t: Graph, e) -> Cycle:
-    """The unique cycle closed by non-tree edge e over the spanning tree t."""
-    e = edge(*e)  # a loop is refused before the tree is checked
-    return HostTree(g, t).cycle(e)
 
 
 def tree_diameter(t: Graph) -> int:

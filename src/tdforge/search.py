@@ -347,7 +347,12 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     verts = tree.vertices
     n = len(verts)
     index = tree.index
-    cap = budget + 1
+    # A node holds at most n guests, so every budget from n-1 up runs one
+    # search and cap stops at n. A node full at cap n holds every vertex,
+    # so it is in every subtree and no growth, and none exists while an
+    # edge is pending; one without room for two is in one of any two
+    # disjoint subtrees. No room test or look-ahead rule can fire.
+    cap = min(budget, n - 1) + 1
 
     deg = {v: g.degree(v) for v in verts}
     edge_order = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))

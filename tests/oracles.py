@@ -19,7 +19,7 @@ from tdforge.constructions import ReflectedTree
 from tdforge.decomposition import from_subtrees, is_anchored, validate
 from tdforge.errors import StructureViolation
 from tdforge.graphs import (Edge, Graph, Vertex, component_in, connected_in,
-                            is_connected, is_spanning_tree, path_edges)
+                            edge, is_connected, is_spanning_tree)
 from tdforge.search import _wilson
 
 
@@ -168,6 +168,11 @@ def bfs_path(g: Graph, a: str, b: str) -> List[str]:
     while path[-1] != a:
         path.append(parent[path[-1]])
     return path[::-1]
+
+
+def path_edges(path: List[Vertex]) -> FrozenSet[Edge]:
+    """Edge set of a vertex path."""
+    return frozenset(edge(u, v) for u, v in zip(path, path[1:]))
 
 
 def flood_reach(adj: List[int], s: int, room: int) -> int:

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from oracles import reference_matching
+from oracles import bfs_path, path_edges, reference_matching
 from tdforge.certificates import (
     MatchingPlan,
     WidthCertificate,
@@ -16,7 +16,7 @@ from tdforge.certificates import (
 from tdforge.constructions import reflected_tree
 from tdforge.decomposition import TreeDecomposition, is_anchored, validate
 from tdforge.errors import HypothesisViolated
-from tdforge.graphs import Graph, HostTree, Matching, path_edges, tree_path
+from tdforge.graphs import Graph, HostTree, Matching
 from tdforge.search import (enumerate_spanning_trees, min_width_on_tree,
                             sample_spanning_trees)
 
@@ -40,7 +40,7 @@ class TestReflectedMatching:
             # every fundamental cycle in the square is the whole square
             assert cert.cycles == {missing: ALL4}
             assert cert.witness_edge in t.edges
-            assert cert.witness_edge in path_edges(tree_path(t, "u", "v"))
+            assert cert.witness_edge in path_edges(bfs_path(t, "u", "v"))
             assert cert.hub == cert.witness_edge[0]
 
     def test_level2_exact_hubs(self):

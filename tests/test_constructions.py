@@ -14,9 +14,9 @@ from tdforge.constructions import (
     toy_schedule,
 )
 from tdforge.errors import ScheduleTooLarge, SizeExceeded
-from tdforge.graphs import Graph, is_connected, is_tree, tree_path
+from tdforge.graphs import Graph, is_connected, is_tree
 
-from oracles import relabel, relabelled_reflected_tree
+from oracles import bfs_path, relabel, relabelled_reflected_tree
 
 
 class TestReflectedTree:
@@ -99,7 +99,7 @@ class TestAryTrees:
         assert t.vertices[0] == "g"  # the root is listed first
         assert [v for v in t.vertices if t.degree(v) == 1] == [
             "g.0.0", "g.0.1", "g.1.0", "g.1.1"]
-        assert tree_path(t, "g", "g.1.0") == ["g", "g.1", "g.1.0"]
+        assert bfs_path(t, "g", "g.1.0") == ["g", "g.1", "g.1.0"]
         for w in range(1, 4):
             for h in range(0, 4):
                 t = complete_ary_tree(w, h, root="r")
@@ -107,7 +107,7 @@ class TestAryTrees:
                 assert t.vertices[0] == "r"
                 assert t.neighbors("r") == tuple(f"r.{i}"
                                                  for i in range(w if h else 0))
-                paths = [tree_path(t, "r", v) for v in t.vertices]
+                paths = [bfs_path(t, "r", v) for v in t.vertices]
                 assert max(len(p) for p in paths) == h + 1
                 leaves = [v for v in t.vertices[1:] if t.degree(v) == 1]
                 assert len(leaves) == (w ** h if h else 0)
@@ -118,7 +118,7 @@ class TestAryTrees:
     def test_unary_tree_is_a_path(self):
         t = complete_ary_tree(1, 3)
         assert len(t) == 4 and is_tree(t)
-        assert tree_path(t, "g", "g.0.0.0") == ["g", "g.0", "g.0.0", "g.0.0.0"]
+        assert bfs_path(t, "g", "g.0.0.0") == ["g", "g.0", "g.0.0", "g.0.0.0"]
 
     def test_cap(self):
         with pytest.raises(SizeExceeded):

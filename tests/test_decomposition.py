@@ -16,10 +16,10 @@ from tdforge.decomposition import (
     is_anchored,
     validate,
 )
-from tdforge.graphs import (Graph, cycle_graph, is_spanning_tree, path_graph,
-                            tree_path)
+from tdforge.graphs import Graph, cycle_graph, is_spanning_tree, path_graph
 from tdforge.transforms import minor_to_spanning
 from generators import random_model_and_td, random_spanning_tree, random_tree
+from oracles import bfs_path
 
 
 def square_on_path():
@@ -171,7 +171,7 @@ class TestIsAnchored:
             centre = rng.choice(host.vertices)
             ends = {v: v if rng.random() < 0.5 else rng.choice(host.vertices)
                     for v in g.vertices}
-            tds.append(from_subtrees(host, {v: tree_path(host, centre, end)
+            tds.append(from_subtrees(host, {v: bfs_path(host, centre, end)
                                             for v, end in ends.items()}))
         for d in tds:
             assert validate(g, d)

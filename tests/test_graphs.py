@@ -1,4 +1,5 @@
-"""Graph type, tree predicates, path/cycle helpers, subtree enumeration."""
+"""Graph type, tree predicates, HostTree paths and cycles, subtree
+enumeration."""
 
 import itertools
 import random
@@ -12,20 +13,16 @@ from tdforge.graphs import (
     HostTree,
     Matching,
     complete_graph,
-    component_in,
     cycle_graph,
     edge,
-    fundamental_cycle,
     is_connected,
     is_spanning_tree,
     is_tree,
-    path_edges,
     path_graph,
     tree_diameter,
-    tree_path,
 )
 from generators import random_connected_graph, random_spanning_tree, random_tree
-from oracles import bfs_path, enumerate_induced_subtrees
+from oracles import bfs_path, enumerate_induced_subtrees, path_edges
 
 
 def small_trees():
@@ -106,14 +103,27 @@ class TestPredicates:
         assert not is_spanning_tree(c, bad)
 
 
+def below_path(host: HostTree, a, b):
+    """The tree path from a to b that host._below gives: its vertex set
+    (the indices below the top, and the top) and its edges from
+    host._edges."""
+    below, top = host._below(host.index[a], host.index[b])
+    return ({host.vertices[x] for x in below | {top}}, host._edges(below))
+
+
 class TestPaths:
+    """bfs_path and path_edges are the oracles the HostTree walker is
+    checked against."""
+
     def test_tree_path_endpoints_and_degenerate(self):
         t = path_graph(5)
-        assert tree_path(t, "p00", "p04") == list(t.vertices)
-        assert tree_path(t, "p03", "p01") == ["p03", "p02", "p01"]
-        assert tree_path(t, "p02", "p02") == ["p02"]
-        with pytest.raises(ValueError):
-            tree_path(cycle_graph(4), "c00", "c02")
+        assert bfs_path(t, "p00", "p04") == list(t.vertices)
+        assert bfs_path(t, "p03", "p01") == ["p03", "p02", "p01"]
+        assert bfs_path(t, "p02", "p02") == ["p02"]
+        host = HostTree(t, t)
+        assert below_path(host, "p03", "p01") == (
+            {"p01", "p02", "p03"}, {("p01", "p02"), ("p02", "p03")})
+        assert below_path(host, "p02", "p02") == ({"p02"}, set())
 
     def test_path_edges(self):
         assert path_edges(["a", "b", "c"]) == {("a", "b"), ("b", "c")}
@@ -124,10 +134,11 @@ class TestPaths:
     def test_tree_path_is_a_path_in_the_tree(self, t, data):
         a = data.draw(st.sampled_from(t.vertices))
         b = data.draw(st.sampled_from(t.vertices))
-        p = tree_path(t, a, b)
+        p = bfs_path(t, a, b)
         assert p[0] == a and p[-1] == b
         assert len(set(p)) == len(p)
         assert path_edges(p) <= t.edges
+        assert below_path(HostTree(t, t), a, b) == (set(p), path_edges(p))
 
     def test_diameter(self):
         assert tree_diameter(path_graph(7)) == 6
@@ -141,7 +152,7 @@ class TestFundamentalCycle:
     def test_square(self):
         c = cycle_graph(4)
         t = Graph(c.vertices, [("c00", "c01"), ("c01", "c02"), ("c02", "c03")])
-        cyc = fundamental_cycle(c, t, ("c00", "c03"))
+        cyc = HostTree(c, t).cycle(("c00", "c03"))
         assert cyc.vertices == c.vertex_set
         assert cyc.edges == c.edges
 
@@ -149,11 +160,13 @@ class TestFundamentalCycle:
         c = cycle_graph(4)
         t = Graph(c.vertices, [("c00", "c01"), ("c01", "c02"), ("c02", "c03")])
         with pytest.raises(ValueError):
-            fundamental_cycle(c, t, ("c00", "c01"))  # tree edge
+            HostTree(c, t).cycle(("c00", "c01"))  # tree edge
         with pytest.raises(ValueError):
-            fundamental_cycle(c, t, ("c00", "c02"))  # not a graph edge
+            HostTree(c, t).cycle(("c00", "c02"))  # not a graph edge
         with pytest.raises(ValueError):
-            fundamental_cycle(c, c, ("c00", "c03"))  # host not a tree
+            HostTree(c, t).cycle(("c00", "c00"))  # loop
+        with pytest.raises(ValueError):
+            HostTree(c, c)  # host not a tree
 
 
 class TestHostTree:
@@ -163,8 +176,8 @@ class TestHostTree:
            st.sampled_from(["spanning tree", "n-1 edges", "any edges"]))
     def test_agrees_with_predicate_and_bfs(self, n, seed, subset):
         """HostTree(g, t) is refused exactly when t is not a spanning tree
-        of g; otherwise its paths, path rows and cycles are the plain BFS
-        ones."""
+        of g; otherwise its paths (every ordered pair, a == b and tree
+        edges included), path rows and cycles are the plain BFS ones."""
         rng = random.Random(seed)
         vs = [f"v{i}" for i in range(n)]
         g = Graph(vs, [e for e in itertools.combinations(vs, 2)
@@ -186,7 +199,7 @@ class TestHostTree:
             row = host.path_row(host.index[b])
             for a in vs:
                 p = bfs_path(t, a, b)
-                assert host.path(a, b) == p
+                assert below_path(host, a, b) == (set(p), path_edges(p))
                 assert row[host.index[a]] == sum(1 << host.index[x] for x in p)
         for e in edges:
             if e in t.edges:
@@ -196,36 +209,10 @@ class TestHostTree:
             assert cyc.vertices == set(p)
             assert cyc.edges == {edge(x, y) for x, y in zip(p, p[1:])} | {e}
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=1, max_value=9),
-           st.integers(min_value=0, max_value=2 ** 31), st.data())
-    def test_components_agree_with_bfs(self, n, seed, data):
-        """The components that tops reads from the parent list are the
-        plain BFS components of the tree's restriction to nodes, for
-        subsets with and without the root (index 0)."""
-        rng = random.Random(seed)
-        g = random_connected_graph(rng, n, 0.5)
-        t = random_spanning_tree(rng, g)
-        host = HostTree(g, t)
-        subsets = st.sets(st.sampled_from(g.vertices), min_size=1)
-        for _ in range(8):
-            nodes = data.draw(subsets)
-            want, rest = [], set(nodes)
-            while rest:
-                want.append(frozenset(component_in(t, rest, min(rest))))
-                rest -= want[-1]
-            got: dict = {}
-            for i, top in host.tops([host.index[v] for v in nodes]).items():
-                got.setdefault(top, set()).add(host.vertices[i])
-            assert (sorted(map(sorted, got.values()))
-                    == sorted(map(sorted, want)))
-
     def test_rejections(self):
         c = cycle_graph(4)
         t = Graph(c.vertices, [("c00", "c01"), ("c01", "c02"), ("c02", "c03")])
         host = HostTree(c, t)
-        with pytest.raises(ValueError, match="not in the tree"):
-            host.path("c00", "nope")
         with pytest.raises(ValueError, match="is a tree edge"):
             host.cycle(("c01", "c00"))
         with pytest.raises(ValueError, match="not an edge of g"):
@@ -240,8 +227,8 @@ class TestHostTree:
 class TestSharedIndex:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=9),
-           st.integers(min_value=0, max_value=2 ** 31), st.data())
-    def test_host_tree_equals_a_from_scratch_build(self, n, seed, data):
+           st.integers(min_value=0, max_value=2 ** 31))
+    def test_host_tree_equals_a_from_scratch_build(self, n, seed):
         """HostTree over g's shared index equals a HostTree built from
         scratch, over fresh copies of g and t with their own index, in
         every field and every query."""
@@ -264,12 +251,9 @@ class TestSharedIndex:
         for j in range(n):
             assert host.path_row(j) == fresh.path_row(j)
         for a, b in itertools.product(vs, repeat=2):
-            assert host.path(a, b) == fresh.path(a, b)
-        subsets = st.sets(st.integers(min_value=0, max_value=n - 1),
-                          min_size=1)
-        for _ in range(6):
-            members = data.draw(subsets)
-            assert host.tops(members) == fresh.tops(members)
+            p = bfs_path(t, a, b)
+            assert (below_path(host, a, b) == below_path(fresh, a, b)
+                    == (set(p), path_edges(p)))
 
     def test_index_is_built_once(self):
         g = Graph(["b", "c", "a"], [("a", "b"), ("b", "c")])

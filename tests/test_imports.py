@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports, imports
 nothing outside the standard library and the package itself, and none
-indents JSON through json.dumps."""
+indents JSON through json.dumps; every private function and method has a
+caller in the package."""
 
 import ast
 import os
@@ -168,3 +169,69 @@ def test_cli_writes_whole_json_strings_only_for_the_manifest():
     manifest, which is small, is built as one json_text string."""
     with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
         assert set(json_text_callers(fh.read())) <= {"Run.finish"}
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unreferenced_privates(sources):
+    """For sources, a map from module name to source text: the private
+    (_-prefixed, not dunder) module-level functions and methods of
+    module-level classes that no name or attribute in any of the sources
+    refers to outside the function's own definition, as module.function
+    or module.Class.method. References are matched by name alone."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    defs = []
+    for m, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                defs.append((f"{m}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{m}.{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, FUNCTIONS)]
+    refs = [(getattr(n, "id", None) or n.attr, n)
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+    missing = []
+    for qualified, f in defs:
+        if not f.name.startswith("_") or (f.name.startswith("__")
+                                          and f.name.endswith("__")):
+            continue
+        inside = {id(n) for n in ast.walk(f)}
+        if not any(name == f.name and id(n) not in inside
+                   for name, n in refs):
+            missing.append(qualified)
+    return sorted(missing)
+
+
+def test_private_checker_flags_functions_only_their_own_body_calls():
+    sources = {
+        "a": ("def _used():\n"
+              "    def _nested():\n"
+              "        pass\n"
+              "def _recursive():\n"
+              "    return _recursive()\n"
+              "def public():\n"
+              "    return _used()\n"
+              "class K:\n"
+              "    def __init__(self):\n"
+              "        self._called()\n"
+              "    def _called(self):\n"
+              "        pass\n"
+              "    def _dead(self):\n"
+              "        return self._dead\n"
+              "    @classmethod\n"
+              "    def _elsewhere(cls):\n"
+              "        return cls()\n"),
+        "b": "from a import K\nk = K._elsewhere()\n",
+    }
+    assert unreferenced_privates(sources) == ["a.K._dead", "a._recursive"]
+
+
+def test_private_functions_have_a_caller_in_the_package():
+    """Code that only tests call lives in tests/, not in src/."""
+    sources = {}
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources[module[:-3]] = fh.read()
+    assert unreferenced_privates(sources) == []

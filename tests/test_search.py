@@ -38,7 +38,7 @@ from tdforge.search import (
 from generators import oracle_corpus, random_connected_graph, random_tree
 from oracles import (bfs_path, brute_count_spanning_trees, brute_treewidth,
                      choice_spanning_tree, flood_reach, naive_decide,
-                     naive_threshold, sample_spanning_tree)
+                     naive_threshold, path_edges, sample_spanning_tree)
 
 
 class TestEnumerateSpanningTrees:
@@ -189,20 +189,15 @@ class TestWalkedHostTree:
             pairs = [(a, b) for a in vs for b in vs]
         else:
             pairs = [(rng.choice(vs), rng.choice(vs)) for _ in range(pairs)]
+        vertices = walked.vertices
         for a, b in pairs:
-            assert walked.path(a, b) == checked.path(a, b)
+            p = bfs_path(t, a, b)
+            for host in (walked, checked):
+                below, top = host._below(host.index[a], host.index[b])
+                assert {vertices[x] for x in below | {top}} == set(p)
+                assert host._edges(below) == path_edges(p)
         for e in sorted(g.edges - t.edges):
             assert walked.cycle(e) == checked.cycle(e)
-
-        def parts(host, members):
-            got = {}
-            for i, top in host.tops(members).items():
-                got.setdefault(top, set()).add(i)
-            return sorted(map(sorted, got.values()))
-
-        for _ in range(10):
-            members = rng.sample(range(len(g)), rng.randint(1, len(g)))
-            assert parts(walked, members) == parts(checked, members)
         return checked
 
     @settings(max_examples=150, deadline=None)
@@ -384,6 +379,33 @@ class TestDecider:
         assert totals == [54406, 200, 33372, 10755]
         assert digest.hexdigest() == ("8f8ef191e0fcfe061727e7a508895d65"
                                       "729d80766c27b7079888ace6a5571044")
+
+    def test_budgets_from_n_minus_1_search_alike(self):
+        """A node holds at most n guests, so every budget from n-1 up runs
+        the same search: the same status, witness, node count and cuts, on
+        a seeded slice of the oracle corpus (up to three hosts a graph,
+        both modes, raw search). A budget of 10**9 returns as promptly as
+        n-1 and still echoes the budget asked for."""
+        rng = random.Random(23)
+        k4 = complete_graph(4)
+        cases = [(k4, Graph(k4.vertices, zip(k4.vertices, k4.vertices[1:])))]
+        for g in rng.sample(oracle_corpus(), 40):
+            trees = list(enumerate_spanning_trees(g))
+            cases += [(g, t) for t in rng.sample(trees, min(3, len(trees)))]
+        for g, host in cases:
+            tree = HostTree(g, host)
+            n = len(g)
+            for anchored in (False, True):
+                seen = set()
+                for budget in (n - 1, n, n + 3, 50, 10 ** 9):
+                    res = search._decide(tree, budget, anchored, 0)
+                    assert res.budget == budget
+                    bags = None if res.witness is None else sorted(
+                        (v, sorted(b)) for v, b in res.witness.bags.items())
+                    seen.add((res.status, repr(bags), res.nodes,
+                              res.pruned_no_room, res.pruned_path,
+                              res.pruned_dominated))
+                assert len(seen) == 1
 
     def test_tree_hosts_itself_at_width_one(self):
         rng = random.Random(11)
