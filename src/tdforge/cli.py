@@ -127,7 +127,9 @@ class Run:
             self.outputs.append(path)
 
     def finish(self, exit_code: int, error: Optional[str]) -> None:
-        """Write the manifest; called on every exit path, failures included."""
+        """Write the manifest; called on every exit path, failures included.
+        It goes out through write, which encodes it, outputs list and all,
+        before the manifest's own path joins that list."""
         manifest_path = (self.out + ".manifest.json" if self.out
                          else "tdforge.manifest.json")
         manifest = {
@@ -147,8 +149,7 @@ class Run:
         if self.decider is not None:
             manifest["decider"] = self.decider
         try:
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                fh.write(io.json_text(manifest) + "\n")
+            self.write(manifest, manifest_path)
         except OSError as exc:
             print(f"error: run manifest not written: {exc}", file=sys.stderr)
 
@@ -262,18 +263,17 @@ def cmd_certify(run: Run, args) -> int:
         if total > run.settings.enum_cap:
             raise CapExceeded(total, run.settings.enum_cap,
                               "spanning tree enumeration")
-        plan = MatchingPlan(rt)
-        certs = [io.certificate_to_obj(reflected_matching(rt, t, plan))
-                 for t in enumerate_spanning_trees(rt.graph)]
-        run.write({"mode": "all", "count": len(certs), "certificates": certs},
-                  args.out)
-        return EXIT_OK
-    count = args.sample if args.sample is not None else DEFAULT_SAMPLE
+        doc = {"mode": "all", "count": total}
+        hosts = enumerate_spanning_trees(rt.graph)
+    else:
+        count = args.sample if args.sample is not None else DEFAULT_SAMPLE
+        doc = {"mode": "sampled", "count": count, "seed": run.seed}
+        hosts = sample_spanning_trees(rt.graph, count, seed=run.seed)
     plan = MatchingPlan(rt)
-    certs = [io.certificate_to_obj(reflected_matching(rt, host, plan))
-             for host in sample_spanning_trees(rt.graph, count, seed=run.seed)]
-    run.write({"mode": "sampled", "count": count, "seed": run.seed,
-               "certificates": certs}, args.out)
+    doc["certificates"] = [
+        io.certificate_to_obj(reflected_matching(rt, host, plan))
+        for host in hosts]
+    run.write(doc, args.out)
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ are deterministic: ties are broken by sorting identifiers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
                     Set, Tuple)
@@ -170,18 +169,21 @@ class Matching:
         return frozenset(v for e in self.edges for v in e)
 
 
-def component_in(g: Graph, nodes: AbstractSet[Vertex], start: Vertex) -> Set[Vertex]:
+def component_in(g: Graph, nodes: AbstractSet[Vertex],
+                 start: Vertex) -> Dict[Vertex, Vertex]:
     """The vertices of nodes that start reaches in the subgraph of g induced
-    on nodes; start must be one of nodes. No subgraph is built."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
+    on nodes, by breadth-first search with neighbours in sorted order: a
+    dict in discovery order that maps each vertex to the vertex it was
+    reached from, start to itself. start must be one of nodes. No subgraph
+    is built."""
+    pred = {start: start}
+    order = [start]
+    for x in order:
         for y in g.neighbors(x):
-            if y in nodes and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+            if y in nodes and y not in pred:
+                pred[y] = x
+                order.append(y)
+    return pred
 
 
 def connected_in(g: Graph, nodes: AbstractSet[Vertex]) -> bool:
@@ -349,26 +351,18 @@ class HostTree:
 
 
 def tree_diameter(t: Graph) -> int:
-    """Length in edges of a longest path in the tree t."""
+    """Length in edges of a longest path in the tree t: the last vertex a
+    breadth-first search reaches is an end of one, and a second search
+    from it reaches the other end last."""
     if not is_tree(t):
         raise ValueError("tree_diameter needs a tree")
-
-    def farthest(start):
-        dist = {start: 0}
-        queue = deque([start])
-        far = start
-        while queue:
-            v = queue.popleft()
-            for w in t.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    if dist[w] > dist[far]:
-                        far = w
-                    queue.append(w)
-        return far, dist[far]
-
-    a, _ = farthest(t.vertices[0])
-    _, d = farthest(a)
+    a = next(reversed(component_in(t, t.vertex_set, t.vertices[0])))
+    pred = component_in(t, t.vertex_set, a)
+    b = next(reversed(pred))
+    d = 0
+    while b != a:
+        b = pred[b]
+        d += 1
     return d
 
 

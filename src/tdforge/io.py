@@ -16,12 +16,15 @@ from .decomposition import TreeDecomposition
 from .graphs import Graph, Matching, edge
 
 
-def json_text(obj) -> str:
-    """The text of json.dumps(obj, indent=2), byte for byte.
+def json_chunks(obj) -> Iterator[str]:
+    """The text of json.dumps(obj, indent=2), byte for byte, in pieces that
+    join to it. The top two container levels go out item by item; each
+    deeper value, and each scalar, is one piece, so a long document is
+    never built as one string.
 
     With an indent, json.dumps runs the stdlib's pure-Python encoder, which
     yields every bracket, separator and scalar as a chunk of its own. This
-    writer builds one string per container and escapes strings with the C
+    writer builds one string per piece and escapes strings with the C
     escaper json.dumps uses under ensure_ascii; a list of string pairs is
     one format string filled with all its escaped strings. json.dumps
     itself spells the other scalars and the dict keys that are not
@@ -29,14 +32,6 @@ def json_text(obj) -> str:
     container that holds itself exhausts the recursion limit instead of
     raising json's ValueError.
     """
-    return _text(obj, "\n")
-
-
-def json_chunks(obj) -> Iterator[str]:
-    """json_text(obj) in pieces that join to it. The top two container
-    levels go out item by item; each deeper value, and each scalar, is one
-    piece written by the same encoder, so a long document is never built
-    as one string."""
     return _chunks(obj, "\n", 2)
 
 
@@ -63,8 +58,8 @@ def _chunks(o, pad: str, levels: int) -> Iterator[str]:
 
 
 def _text(o, pad: str) -> str:
-    """o as json_text writes it at the nesting depth whose line break and
-    indent is pad."""
+    """o as json.dumps(o, indent=2) writes it at the nesting depth whose
+    line break and indent is pad, as one string."""
     if isinstance(o, str):
         return _string(o)
     if isinstance(o, (list, tuple)):
@@ -342,38 +337,32 @@ def _quote(s: str) -> str:
     return '"' + str(s).replace('"', '\\"') + '"'
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    for v in g.vertices:
-        lines.append(f"  {_quote(v)};")
-    for u, v in sorted(g.edges):
-        lines.append(f"  {_quote(u)} -- {_quote(v)};")
+def _dot(name: str, lines: List[str], edges) -> str:
+    """A DOT graph: its header, the node lines given, a line for each of the
+    edges in sorted order, and its footer."""
+    lines = [f"graph {name} {{", *lines]
+    lines += [f"  {_quote(u)} -- {_quote(v)};" for u, v in sorted(edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def graph_to_dot(g: Graph, name: str = "G") -> str:
+    return _dot(name, [f"  {_quote(v)};" for v in g.vertices], g.edges)
 
 
 def td_to_dot(td: TreeDecomposition, name: str = "decomposition") -> str:
-    lines = [f"graph {name} {{", "  node [shape=box];"]
+    lines = ["  node [shape=box];"]
     for x in td.host.vertices:
         bag = ",".join(sorted(td.bag(x)))
         lines.append(f"  {_quote(x)} [label={_quote(f'{x}: {{{bag}}}')}];")
-    for u, v in sorted(td.host.edges):
-        lines.append(f"  {_quote(u)} -- {_quote(v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(name, lines, td.host.edges)
 
 
 def instance_to_dot(inst: GadgetInstance, name: str = "gadget") -> str:
-    lines = [f"graph {name} {{"]
-    for v in inst.base.vertices:
-        lines.append(f"  {_quote(v)};")
+    lines = [f"  {_quote(v)};" for v in inst.base.vertices]
     for i, a in enumerate(inst.ordering):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f"    label={_quote(f'gadget at {a}')};")
-        for v in sorted(inst.gadgets[a]):
-            lines.append(f"    {_quote(v)};")
+        lines += [f"    {_quote(v)};" for v in sorted(inst.gadgets[a])]
         lines.append("  }")
-    for u, v in sorted(inst.graph.edges):
-        lines.append(f"  {_quote(u)} -- {_quote(v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(name, lines, inst.graph.edges)

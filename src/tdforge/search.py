@@ -142,7 +142,7 @@ def count_spanning_trees(g: Graph, pivot_order: Optional[List[Vertex]] = None) -
     if not is_connected(g):
         raise ValueError("need a connected graph")
     verts = list(pivot_order) if pivot_order is not None else list(g.vertices)
-    if set(verts) != g.vertex_set:
+    if len(verts) != len(g) or set(verts) != g.vertex_set:
         raise ValueError("pivot_order must be a permutation of the vertices")
     if len(verts) == 1:
         return 1
@@ -521,7 +521,7 @@ def _is_forest(g: Graph) -> bool:
     for start in g.vertices:
         if start not in seen:
             components += 1
-            seen |= component_in(g, g.vertex_set, start)
+            seen.update(component_in(g, g.vertex_set, start))
     return len(g.edges) == len(g) - components
 
 

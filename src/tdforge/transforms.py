@@ -10,7 +10,6 @@ growing the width by at most one.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
@@ -18,8 +17,8 @@ from .constructions import GadgetInstance
 from .decomposition import (TreeDecomposition, ValidationReport, Violation,
                             _anchored, validate)
 from .errors import HostNotSpanning, ReductionInvalid
-from .graphs import (Graph, Vertex, Edge, connected_in, edge, is_connected,
-                     is_spanning_tree, is_tree)
+from .graphs import (Graph, Vertex, Edge, component_in, connected_in, edge,
+                     is_connected, is_spanning_tree, is_tree)
 
 PATTERN_NOT_TREE = "pattern-not-tree"
 BRANCH_MISSING = "branch-set-missing"
@@ -132,30 +131,13 @@ def complete_model(m: MinorModel) -> MinorModel:
                       {x: frozenset(q) for x, q in new_sets.items()}, m.edge_map)
 
 
-def _branch_spanning_edges(g: Graph, q: FrozenSet[Vertex]):
-    """Edges of the BFS spanning tree of g[q] grown from min(q)."""
-    start = min(q)
-    seen = {start}
-    queue = deque([start])
-    out = []
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w in q and w not in seen:
-                seen.add(w)
-                out.append(edge(v, w))
-                queue.append(w)
-    if len(seen) != len(q):
-        raise ValueError(f"branch set {sorted(q)!r} is disconnected")
-    return out
-
-
 def minor_to_spanning(g: Graph, td: TreeDecomposition, m: MinorModel
                       ) -> TreeDecomposition:
     """Rehost a decomposition from a tree minor of g onto a spanning tree of g.
 
     td must decompose g with host equal to the model's pattern tree. The new
-    host glues a spanning tree of each branch set with the witness edges;
+    host glues the breadth-first spanning tree of each branch set, grown
+    from its least vertex, with the witness edges;
     each graph vertex inherits the bag of its branch's pattern vertex. Width
     is preserved exactly.
     """
@@ -177,7 +159,8 @@ def minor_to_spanning(g: Graph, td: TreeDecomposition, m: MinorModel
     branch_of: Dict[Vertex, Vertex] = {}
     for x in sorted(m.branch_sets):
         q = m.branch_sets[x]
-        host_edges.extend(_branch_spanning_edges(g, q))
+        host_edges.extend(edge(v, w) for w, v in
+                          component_in(g, q, min(q)).items() if w != v)
         for v in q:
             branch_of[v] = x
     host_edges.extend(m.edge_map[xy] for xy in m.pattern.edges)

@@ -4,11 +4,12 @@ Everything here trades speed for obviousness: subtree-product search over
 explicitly enumerated candidates, a flood for the decider's candidates,
 subset enumeration for counting, and permutation search for treewidth,
 rng.choice for the spanning-tree walk, relabelling for the reflected
-tree, and name-set recursion with breadth-first search for the
-certificate. None of it shares code with the
-engines under test beyond the basic graph and reflected-tree types and the
-validator. sample_spanning_tree alone is no oracle: it is one draw of the
-package's own sampler, kept here because only tests draw single trees.
+tree, a level-by-level breadth-first search for components, and
+name-set recursion over that search for the certificate. None of it
+shares code with the engines under test beyond the basic graph and
+reflected-tree types, the spanning-tree predicates and the validator.
+sample_spanning_tree alone is no oracle: it is one draw of the package's
+own sampler, kept here because only tests draw single trees.
 """
 
 import itertools
@@ -18,8 +19,8 @@ from typing import Dict, FrozenSet, Iterator, List, Tuple
 from tdforge.constructions import ReflectedTree
 from tdforge.decomposition import from_subtrees, is_anchored, validate
 from tdforge.errors import StructureViolation
-from tdforge.graphs import (Edge, Graph, Vertex, component_in, connected_in,
-                            edge, is_connected, is_spanning_tree)
+from tdforge.graphs import (Edge, Graph, Vertex, edge, is_connected,
+                            is_spanning_tree)
 from tdforge.search import _wilson
 
 
@@ -170,6 +171,23 @@ def bfs_path(g: Graph, a: str, b: str) -> List[str]:
     return path[::-1]
 
 
+def bfs_component(g: Graph, nodes, start: str) -> Dict[str, int]:
+    """The vertices of nodes that start reaches in the subgraph of g
+    induced on nodes, each mapped to its distance from start there, by a
+    breadth-first search that expands one whole level at a time."""
+    dist = {start: 0}
+    level = [start]
+    while level:
+        nxt = []
+        for v in level:
+            for w in g.neighbors(v):
+                if w in nodes and w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        level = nxt
+    return dist
+
+
 def path_edges(path: List[Vertex]) -> FrozenSet[Edge]:
     """Edge set of a vertex path."""
     return frozenset(edge(u, v) for u, v in zip(path, path[1:]))
@@ -307,6 +325,9 @@ def reference_matching(rt: ReflectedTree, t: Graph
     if not is_spanning_tree(rt.graph, t):
         raise ValueError("t is not a spanning tree of the reflected tree")
 
+    def spans(nodes) -> bool:
+        return len(bfs_component(t, nodes, min(nodes))) == len(nodes)
+
     def collect(rt: ReflectedTree) -> List[Edge]:
         if rt.level == 2:
             extra = sorted(rt.graph.edges - t.edges)
@@ -315,15 +336,15 @@ def reference_matching(rt: ReflectedTree, t: Graph
             return extra
         left, right = rt.copies
         u, v = rt.roots
-        conn_left = connected_in(t, left.graph.vertex_set | {u, v})
-        conn_right = connected_in(t, right.graph.vertex_set | {u, v})
+        conn_left = spans(left.graph.vertex_set | {u, v})
+        conn_right = spans(right.graph.vertex_set | {u, v})
         if conn_left == conn_right:
             raise StructureViolation(f"level {rt.level}: not one connected side")
         connected, other = (left, right) if conn_left else (right, left)
         side = other.graph.vertex_set | {u, v}
         comps, rest = [], set(side)
         while rest:
-            comps.append(component_in(t, rest, min(rest)))
+            comps.append(set(bfs_component(t, rest, min(rest))))
             rest -= comps[-1]
         if len(comps) != 2:
             raise StructureViolation(f"level {rt.level}: not two components")
@@ -333,7 +354,7 @@ def reference_matching(rt: ReflectedTree, t: Graph
                       and (e[0] in part) != (e[1] in part)]
         if not candidates:
             raise StructureViolation(f"level {rt.level}: no crossing edge")
-        if not connected_in(t, connected.graph.vertex_set):
+        if not spans(connected.graph.vertex_set):
             raise StructureViolation(f"level {rt.level}: copy not spanned")
         return collect(connected) + [min(candidates)]
 

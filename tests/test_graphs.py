@@ -13,6 +13,7 @@ from tdforge.graphs import (
     HostTree,
     Matching,
     complete_graph,
+    component_in,
     cycle_graph,
     edge,
     is_connected,
@@ -22,7 +23,8 @@ from tdforge.graphs import (
     tree_diameter,
 )
 from generators import random_connected_graph, random_spanning_tree, random_tree
-from oracles import bfs_path, enumerate_induced_subtrees, path_edges
+from oracles import (bfs_component, bfs_path, enumerate_induced_subtrees,
+                     path_edges)
 
 
 def small_trees():
@@ -103,6 +105,30 @@ class TestPredicates:
         assert not is_spanning_tree(c, bad)
 
 
+class TestComponentIn:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=9),
+           st.integers(min_value=0, max_value=2 ** 31), st.data())
+    def test_breadth_first_against_the_oracle(self, n, seed, data):
+        """Same reached set as the oracle's search; each vertex's
+        predecessor is an earlier, adjacent member of nodes one step
+        nearer to start; discovery order never moves away from start."""
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n, rng.uniform(0.2, 0.8))
+        nodes = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
+        start = data.draw(st.sampled_from(sorted(nodes)))
+        pred = component_in(g, nodes, start)
+        dist = bfs_component(g, nodes, start)
+        assert pred.keys() == dist.keys()
+        order = list(pred)
+        assert order[0] == start and pred[start] == start
+        for i, v in enumerate(order[1:], 1):
+            p = pred[v]
+            assert p in nodes and order.index(p) < i and g.has_edge(p, v)
+            assert dist[p] == dist[v] - 1
+        assert [dist[v] for v in order] == sorted(dist.values())
+
+
 def below_path(host: HostTree, a, b):
     """The tree path from a to b that host._below gives: its vertex set
     (the indices below the top, and the top) and its edges from
@@ -146,6 +172,12 @@ class TestPaths:
         star = Graph(["c", "l0", "l1", "l2"],
                      [("c", "l0"), ("c", "l1"), ("c", "l2")])
         assert tree_diameter(star) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_trees())
+    def test_diameter_is_the_longest_tree_path(self, t):
+        assert tree_diameter(t) == max(len(bfs_path(t, a, b)) - 1
+                                       for a in t.vertices for b in t.vertices)
 
 
 class TestFundamentalCycle:

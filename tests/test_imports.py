@@ -1,7 +1,7 @@
 """Every module of the package uses every name it imports, imports
 nothing outside the standard library and the package itself, and none
-indents JSON through json.dumps; every private function and method has a
-caller in the package."""
+indents JSON through json.dumps; cli.py opens a file for writing in one
+place; every private function and method has a caller in the package."""
 
 import ast
 import os
@@ -83,7 +83,7 @@ def test_stdlib_checker_flags_third_party_imports():
               "import numpy as np\n"
               "from . import graphs\n"
               "from .search import SAT\n"
-              "from tdforge.io import json_text\n"
+              "from tdforge.io import json_chunks\n"
               "from networkx.algorithms import tree\n"
               "def f():\n"
               "    import yaml\n")
@@ -100,7 +100,7 @@ def test_stdlib_only(module):
 def indented_json_calls(source: str):
     """Line numbers of the calls to a function named dump or dumps, such
     as json.dumps, that pass an indent keyword: with an indent, json runs
-    its pure-Python encoder, and io.json_text writes the same text."""
+    its pure-Python encoder, and io.json_chunks writes the same text."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
             and getattr(node.func, "attr", getattr(node.func, "id", None))
@@ -125,50 +125,44 @@ def test_no_indented_json_dumps():
             assert indented_json_calls(fh.read()) == [], module
 
 
-def json_text_callers(source: str):
-    """The qualified names (Class.method or function) of the functions
-    that call a function named json_text, such as io.json_text, and
-    "<module>" for a call outside any function."""
-    callers = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                visit(child, scope + [child.name])
-                continue
-            if (isinstance(child, ast.Call)
-                    and getattr(child.func, "attr",
-                                getattr(child.func, "id", None)) == "json_text"):
-                callers.append(".".join(scope) or "<module>")
-            visit(child, scope)
-
-    visit(ast.parse(source), [])
-    return sorted(callers)
+def write_opens(source: str):
+    """Line numbers of the calls to a function named open, such as open or
+    io.open, whose mode may write: a string with w, a, x or + in it, or a
+    mode that is not a string literal. Without a mode, open reads."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "attr",
+                            getattr(node.func, "id", None)) == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords
+                                  if k.arg == "mode"]
+        mode = modes[0] if modes else ast.Constant("r")
+        if (not isinstance(mode, ast.Constant)
+                or not isinstance(mode.value, str)
+                or set(mode.value) & set("wax+")):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
-def test_json_text_checker_names_the_callers():
-    source = ("from .io import json_text\n"
-              "import io\n"
-              "top = json_text({})\n"
-              "class Run:\n"
-              "    def finish(self):\n"
-              "        return io.json_text({}) + json_text([])\n"
-              "    def write(self, obj):\n"
-              "        def inner():\n"
-              "            return io.json_text(obj)\n"
-              "        return inner\n"
-              "def cmd(run):\n"
-              "    return io.json_chunks(run)\n")
-    assert json_text_callers(source) == [
-        "<module>", "Run.finish", "Run.finish", "Run.write.inner"]
+def test_write_open_checker_flags_write_modes():
+    source = ("a = open(p)\n"
+              "b = open(p, 'rb', encoding='utf-8')\n"
+              "c = open(p, 'w', encoding='utf-8')\n"
+              "d = io.open(p, mode='ab')\n"
+              "e = open(p, mode)\n"
+              "f = open(p, 'r+')\n"
+              "g = open(p, mode='xt')\n"
+              "h = reopen(p, 'w')\n"
+              "i = open(p, mode='r')\n")
+    assert write_opens(source) == [3, 4, 5, 6, 7]
 
 
-def test_cli_writes_whole_json_strings_only_for_the_manifest():
-    """Command outputs go out through io.json_chunks; only the run
-    manifest, which is small, is built as one json_text string."""
+def test_cli_opens_a_file_for_writing_in_one_place():
+    """Run.write writes every output and the run manifest, so cli.py
+    opens a file for writing once."""
     with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
-        assert set(json_text_callers(fh.read())) <= {"Run.finish"}
+        assert len(write_opens(fh.read())) == 1
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

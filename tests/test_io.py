@@ -226,12 +226,12 @@ _VALUES = st.recursive(
 
 
 class TestJsonText:
-    """io.json_text is json.dumps(obj, indent=2), byte for byte."""
+    """io.json_chunks joins to json.dumps(obj, indent=2), byte for byte."""
 
     @settings(max_examples=400, deadline=None)
     @given(_VALUES)
     def test_matches_json_dumps(self, obj):
-        assert io.json_text(obj) == json.dumps(obj, indent=2)
+        assert "".join(io.json_chunks(obj)) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("obj", [
         [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[[]], {}, ()],
@@ -245,7 +245,7 @@ class TestJsonText:
         "top", 7, -0.0, None, True,
     ])
     def test_edge_cases(self, obj):
-        assert io.json_text(obj) == json.dumps(obj, indent=2)
+        assert "".join(io.json_chunks(obj)) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("obj", [
         [["a", "b"], ["c", "d"]], [("a", "b")], {"e": [["a", "b"]]},
@@ -255,14 +255,14 @@ class TestJsonText:
         [["", ""]], [["é", "\u2603"], ["\x00", '"']],
     ])
     def test_pair_lists(self, obj):
-        assert io.json_text(obj) == json.dumps(obj, indent=2)
+        assert "".join(io.json_chunks(obj)) == json.dumps(obj, indent=2)
 
     def test_certify_document(self):
         rt = reflected_tree(4)
         certs = [io.certificate_to_obj(reflected_matching(rt, t)) for t in
                  itertools.islice(enumerate_spanning_trees(rt.graph), 20)]
         doc = {"mode": "all", "count": len(certs), "certificates": certs}
-        assert io.json_text(doc) == json.dumps(doc, indent=2)
+        assert "".join(io.json_chunks(doc)) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("obj", [
         {1, 2}, [set()], ["a", frozenset()], {"a": b"bytes"},
@@ -273,17 +273,18 @@ class TestJsonText:
         with pytest.raises(TypeError) as want:
             json.dumps(obj, indent=2)
         with pytest.raises(TypeError) as got:
-            io.json_text(obj)
+            "".join(io.json_chunks(obj))
         assert str(got.value) == str(want.value)
 
 
 class TestJsonChunks:
-    """io.json_chunks yields pieces that join to io.json_text."""
+    """io.json_chunks yields pieces that join to json.dumps(obj, indent=2),
+    and splits a long document into them."""
 
     @settings(max_examples=400, deadline=None)
     @given(_VALUES)
     def test_joins_to_json_text(self, obj):
-        assert "".join(io.json_chunks(obj)) == io.json_text(obj)
+        assert "".join(io.json_chunks(obj)) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("obj", [
         [], {}, (), [[]], {"a": []}, [[[]], {}, ()], "top", 7, None,
@@ -291,12 +292,12 @@ class TestJsonChunks:
         {2: "int", None: "none", "s": ["x", ("y", "z")]},
     ])
     def test_edge_cases(self, obj):
-        assert "".join(io.json_chunks(obj)) == io.json_text(obj)
+        assert "".join(io.json_chunks(obj)) == json.dumps(obj, indent=2)
 
     def test_unserializable_raises_json_type_error(self):
         for obj in ({"a": [{1, 2}]}, [{(1, 2): "tuple key"}], [[b"deep"]]):
             with pytest.raises(TypeError) as want:
-                io.json_text(obj)
+                json.dumps(obj, indent=2)
             with pytest.raises(TypeError) as got:
                 "".join(io.json_chunks(obj))
             assert str(got.value) == str(want.value)
@@ -313,7 +314,7 @@ class TestJsonChunks:
         doc = {"mode": "sampled", "count": 50, "seed": 1,
                "certificates": certs}
         chunks = list(io.json_chunks(doc))
-        text = io.json_text(doc)
+        text = json.dumps(doc, indent=2)
         assert "".join(chunks) == text
         assert len(chunks) > 50
         assert max(map(len, chunks)) < len(text) // 10
@@ -328,16 +329,24 @@ class TestDot:
     def test_td_dot(self):
         host = path_graph(2)
         td = TreeDecomposition(host, {"p00": {"x"}, "p01": {"x", "y"}})
-        dot = io.td_to_dot(td)
-        assert "p00: {x}" in dot
-        assert '"p00" -- "p01";' in dot
+        assert io.td_to_dot(td) == (
+            'graph decomposition {\n  node [shape=box];\n'
+            '  "p00" [label="p00: {x}"];\n  "p01" [label="p01: {x,y}"];\n'
+            '  "p00" -- "p01";\n}\n')
 
     def test_instance_dot(self):
-        base = Graph(["a0"], [])
-        inst = attach_gadgets(base, None, toy_schedule(1, 1, [1], [2]))
-        dot = io.instance_to_dot(inst)
-        assert "subgraph cluster_0" in dot
-        assert "gadget at a0" in dot
+        """Clusters follow the ordering, not the base's vertex order."""
+        base = Graph(["a0", "a1"], [("a0", "a1")])
+        inst = attach_gadgets(base, ["a1", "a0"],
+                              toy_schedule(1, 2, [1, 1], [2, 1]))
+        assert io.instance_to_dot(inst) == (
+            'graph gadget {\n  "a0";\n  "a1";\n'
+            '  subgraph cluster_0 {\n    label="gadget at a1";\n'
+            '    "a1#0";\n    "a1#1";\n  }\n'
+            '  subgraph cluster_1 {\n    label="gadget at a0";\n'
+            '    "a0#0";\n  }\n'
+            '  "a0" -- "a0#0";\n  "a0" -- "a1";\n  "a1" -- "a1#0";\n'
+            '  "a1" -- "a1#1";\n}\n')
 
     def test_quote_escapes(self):
         g = Graph(['sa"y'], [])

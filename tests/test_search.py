@@ -96,6 +96,15 @@ class TestCountSpanningTrees:
         backwards = list(reversed(g.vertices))
         assert count_spanning_trees(g, pivot_order=backwards) == 96
 
+    def test_pivot_order_with_a_repeated_vertex_is_refused(self):
+        """A repeat covers the vertex set without being a permutation."""
+        a, b = path_graph(2).vertices
+        c = cycle_graph(4)
+        for g, order in ((path_graph(2), [a, a, b]),
+                         (c, [c.vertices[0], *c.vertices])):
+            with pytest.raises(ValueError, match="permutation"):
+                count_spanning_trees(g, pivot_order=order)
+
 
 class TestSampleSpanningTree:
     def test_samples_are_spanning_trees(self):
