@@ -10,8 +10,7 @@ from .constructions import (GadgetInstance, GadgetSchedule, ReflectedTree,
                             reflected_tree, reflected_tree_order,
                             reflected_tree_size, toy_schedule)
 from .decomposition import (Classification, TreeDecomposition, ValidationReport,
-                            classify_vertices, from_subtrees, is_anchored,
-                            validate)
+                            classify_vertices, is_anchored, validate)
 from .errors import (CapExceeded, CertificateContradiction, HostNotSpanning,
                      HypothesisViolated, ReductionInvalid, ScheduleTooLarge,
                      SizeExceeded, StructureViolation, TdforgeError)

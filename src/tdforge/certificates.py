@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .constructions import ReflectedTree
-from .decomposition import TreeDecomposition, _anchored, validate
+from .decomposition import TreeDecomposition, validate
 from .errors import CertificateContradiction, HypothesisViolated, StructureViolation
 from .graphs import Edge, Graph, HostTree, Matching, Vertex, edge
 
@@ -290,7 +290,7 @@ def bag_lower_bound(rt: ReflectedTree, cert: WidthCertificate,
     report = validate(rt.graph, td)
     if not report:
         raise HypothesisViolated(f"decomposition invalid: {report}")
-    if not _anchored(rt.graph, td):
+    if not report.anchored:
         raise HypothesisViolated("decomposition is not anchored")
     hub_bag = td.bag(cert.hub)
     forced = []

@@ -24,7 +24,7 @@ from .certificates import (MatchingPlan, bag_lower_bound, reflected_matching,
                            verify_certificate)
 from .constructions import (DEFAULT_CAP, attach_gadgets, gadget_schedule,
                             reflected_tree, toy_schedule)
-from .decomposition import _anchored, validate
+from .decomposition import validate
 from .errors import (CapExceeded, CertificateContradiction, ReductionInvalid,
                      ScheduleTooLarge, SizeExceeded, TdforgeError)
 from .graphs import Graph, HostTree
@@ -222,11 +222,13 @@ def cmd_schedule(run: Run, args) -> int:
     if args.out:
         run.write(io.schedule_to_obj(schedule), args.out)
         return EXIT_OK
-    print(f"k = {schedule.k}  n = {schedule.n}  genuine = {schedule.genuine}")
+    lines = [f"k = {schedule.k}  n = {schedule.n}  "
+             f"genuine = {schedule.genuine}"]
     for j in range(args.n):
-        print(f"h_{j + 1} = {schedule.heights[j]}")
-        print(f"w_{j + 1} = {schedule.widths[j]}")
-        print(f"|V(S_{j + 1})| = {schedule.tree_sizes[j]}")
+        lines += [f"h_{j + 1} = {io.int_text(schedule.heights[j])}",
+                  f"w_{j + 1} = {io.int_text(schedule.widths[j])}",
+                  f"|V(S_{j + 1})| = {io.int_text(schedule.tree_sizes[j])}"]
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -361,7 +363,7 @@ def cmd_verify(run: Run, args) -> int:
     ok = bool(report)
     if ok:
         out["width"] = td.width()
-        out["anchored"] = _anchored(g, td)
+        out["anchored"] = report.anchored
         if args.budget is not None and td.width() > args.budget:
             out["width_within_budget"] = False
             ok = False

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from .errors import ScheduleTooLarge, SizeExceeded
+from .errors import ScheduleTooLarge, SizeExceeded, count_text
 from .graphs import Graph, Vertex
 
 DEFAULT_CAP = 500_000
@@ -42,18 +42,27 @@ class ReflectedTree:
     copies: Optional[Tuple["ReflectedTree", "ReflectedTree"]]
 
 
+def _guard_pow(base: int, exponent: int, what: str) -> int:
+    # integer arithmetic only: the exponent itself can be too large for a
+    # float, so even computing a log here would overflow before the guard
+    bits = exponent * base.bit_length() if base > 1 else 0
+    if bits > MAX_SCHEDULE_BITS:
+        raise ScheduleTooLarge(
+            f"{what} needs more than {MAX_SCHEDULE_BITS} bits; "
+            "nothing that large fits in memory")
+    return base ** exponent
+
+
 def reflected_tree_order(r: int) -> int:
-    """Number of vertices of the level-r reflected tree."""
+    """Number of vertices of the level-r reflected tree, 3 * 2^(r-1) - 2."""
     if r < 1:
         raise ValueError("need r >= 1")
-    return 3 * 2 ** (r - 1) - 2
+    return 3 * _guard_pow(2, r - 1, f"reflected tree of level {count_text(r)}") - 2
 
 
 def reflected_tree_size(r: int) -> int:
-    """Number of edges of the level-r reflected tree."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    return 4 * (2 ** (r - 1) - 1)
+    """Number of edges of the level-r reflected tree, 4 * (2^(r-1) - 1)."""
+    return 4 * ((reflected_tree_order(r) + 2) // 3 - 1)
 
 
 def _reflected(r: int, prefix: str) -> ReflectedTree:
@@ -83,8 +92,12 @@ def reflected_tree(r: int, cap: int = DEFAULT_CAP) -> ReflectedTree:
         raise ValueError("need r >= 1")
     total = reflected_tree_order(r)
     if total > cap:
-        raise SizeExceeded(total, cap, f"reflected tree of level {r}")
+        raise SizeExceeded(total, cap, f"reflected tree of level {count_text(r)}")
     return _reflected(r, "")
+
+
+def _ary(width: int, height: int) -> str:
+    return f"complete {count_text(width)}-ary tree of height {count_text(height)}"
 
 
 def ary_tree_size(width: int, height: int) -> int:
@@ -93,7 +106,7 @@ def ary_tree_size(width: int, height: int) -> int:
         raise ValueError("need width >= 1 and height >= 0")
     if width == 1:
         return height + 1
-    return (width ** (height + 1) - 1) // (width - 1)
+    return (_guard_pow(width, height + 1, _ary(width, height)) - 1) // (width - 1)
 
 
 def complete_ary_tree(width: int, height: int, cap: int = DEFAULT_CAP,
@@ -106,7 +119,7 @@ def complete_ary_tree(width: int, height: int, cap: int = DEFAULT_CAP,
     """
     total = ary_tree_size(width, height)
     if total > cap:
-        raise SizeExceeded(total, cap, f"complete {width}-ary tree of height {height}")
+        raise SizeExceeded(total, cap, _ary(width, height))
     vertices = [root]
     edges = []
     level = [root]
@@ -154,24 +167,6 @@ class GadgetSchedule:
         return base_order + sum(s - 1 for s in self.tree_sizes)
 
 
-def _guard_pow(base: int, exponent: int, what: str) -> int:
-    # integer arithmetic only: the exponent itself can be too large for a
-    # float, so even computing a log here would overflow before the guard
-    bits = exponent * base.bit_length() if base > 1 else 0
-    if bits > MAX_SCHEDULE_BITS:
-        raise ScheduleTooLarge(
-            f"{what} needs more than {MAX_SCHEDULE_BITS} bits; "
-            "nothing that large fits in memory")
-    return base ** exponent
-
-
-def _guarded_tree_size(width: int, height: int, what: str) -> int:
-    if width == 1:
-        return height + 1
-    top = _guard_pow(width, height + 1, what)
-    return (top - 1) // (width - 1)
-
-
 def gadget_schedule(k: int, n: int) -> GadgetSchedule:
     """The genuine schedule for parameter k over an n-vertex base.
 
@@ -191,8 +186,7 @@ def gadget_schedule(k: int, n: int) -> GadgetSchedule:
     tail = 0  # total tree size of gadgets j+1..n
     for j in range(n, 0, -1):
         widths[j - 1] = (k + 1) * (n + tail) + 1
-        sizes[j - 1] = _guarded_tree_size(widths[j - 1], heights[j - 1],
-                                          f"tree size {j}")
+        sizes[j - 1] = ary_tree_size(widths[j - 1], heights[j - 1])
         tail += sizes[j - 1]
     return GadgetSchedule(k, n, tuple(heights), tuple(widths), tuple(sizes), True)
 
@@ -239,7 +233,8 @@ def attach_gadgets(g: Graph, ordering: Optional[Sequence[Vertex]],
         raise ValueError("ordering must be a permutation of V(g) of length n")
     total = schedule.attachment_total(len(g))
     if total > cap:
-        raise SizeExceeded(total, cap, "gadget attachment")
+        raise SizeExceeded(total, cap, "gadget attachment with heights up to "
+                           + count_text(max(schedule.heights)))
     vertices = list(g.vertices)
     edges = list(g.edges)
     taken = set(vertices)

@@ -3,7 +3,9 @@
 A decomposition is a host tree T plus one bag per host node. The subtree of a
 decomposed vertex v is the set of host nodes whose bag contains v; validity
 means every subtree is non-empty and connected and every edge of the
-decomposed graph sees both endpoints share a host node.
+decomposed graph sees both endpoints share a host node. A valid
+decomposition is anchored when T is a spanning tree of the graph and every
+vertex lies in its own subtree; validate reports both.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """What validate found; validate_model never sets anchored."""
+
     valid: bool
     violations: Tuple[Violation, ...]
+    anchored: bool = False
 
     def __bool__(self) -> bool:
         return self.valid
@@ -111,10 +116,13 @@ def _subtree_map(td: TreeDecomposition) -> Dict[Vertex, set]:
 
 
 def validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
-    """Check the decomposition conditions of td against g.
+    """Check the decomposition conditions of td against g, and anchoring.
 
     Reports one violation per broken condition: a vertex with an empty or
     disconnected subtree, or an edge whose endpoint subtrees are disjoint.
+    A valid td is anchored when its host has vertex set V(g) and edges in
+    E(g) (it is a tree by construction, so then a spanning tree of g) and
+    every vertex lies in its own subtree.
     """
     stray = td.decomposed_vertices() - g.vertex_set
     if stray:
@@ -131,29 +139,11 @@ def validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
         u, v = e
         if not (subtrees.get(u, set()) & subtrees.get(v, set())):
             violations.append(Violation(UNCOVERED_EDGE, e))
-    return ValidationReport(not violations, tuple(violations))
-
-
-def from_subtrees(host: Graph, assignment: Mapping[Vertex, Iterable[Vertex]]
-                  ) -> TreeDecomposition:
-    """Build the decomposition whose subtrees are exactly the given sets.
-
-    Each assigned set must be a non-empty connected set of host nodes, and
-    host must be a tree (TreeDecomposition checks it).
-    """
-    bags: Dict[Vertex, set] = {x: set() for x in host.vertices}
-    for v, nodes in assignment.items():
-        ns = set(nodes)
-        if not ns:
-            raise ValueError(f"empty subtree assigned to {v!r}")
-        stray = ns - host.vertex_set
-        if stray:
-            raise ValueError(f"subtree of {v!r} uses non-host nodes: {sorted(stray)!r}")
-        if not connected_in(host, ns):
-            raise ValueError(f"subtree of {v!r} is disconnected")
-        for x in ns:
-            bags[x].add(v)
-    return TreeDecomposition(host, bags)
+    host = td.host
+    anchored = (not violations and host.vertex_set == g.vertex_set
+                and host.edges <= g.edges
+                and all(v in subtrees[v] for v in g.vertices))
+    return ValidationReport(not violations, tuple(violations), anchored)
 
 
 def is_anchored(g: Graph, td: TreeDecomposition) -> bool:
@@ -161,16 +151,10 @@ def is_anchored(g: Graph, td: TreeDecomposition) -> bool:
 
     td must be valid for g; an invalid decomposition raises instead.
     """
-    if not validate(g, td):
+    report = validate(g, td)
+    if not report:
         raise ValueError("decomposition is not valid for g")
-    return _anchored(g, td)
-
-
-def _anchored(g: Graph, td: TreeDecomposition) -> bool:
-    """is_anchored for a decomposition its caller has just validated."""
-    host = td.host  # a tree by construction: spanning iff on V(g), in E(g)
-    return (host.vertex_set == g.vertex_set and host.edges <= g.edges
-            and all(x in td.bag(x) for x in g.vertices))
+    return report.anchored
 
 
 @dataclass(frozen=True)

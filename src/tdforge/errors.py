@@ -7,6 +7,14 @@ class TdforgeError(Exception):
     """Base class for errors raised by this package."""
 
 
+def count_text(n: int) -> str:
+    """n for a one-line message: its digits up to 2^200, past that a power
+    of two it is at least (str() refuses past 4300 digits)."""
+    if n.bit_length() <= 200:
+        return str(n)
+    return f"at least 2^{n.bit_length() - 1}"
+
+
 class SizeExceeded(TdforgeError):
     """A requested construction would materialize more vertices than the cap allows.
 
@@ -16,15 +24,16 @@ class SizeExceeded(TdforgeError):
     def __init__(self, total: int, cap: int, what: str = "construction"):
         self.total = total
         self.cap = cap
-        super().__init__(f"{what} needs {total} vertices, cap is {cap}")
+        super().__init__(f"{what} needs {count_text(total)} vertices, cap is {cap}")
 
 
 class ScheduleTooLarge(TdforgeError):
-    """A genuine schedule value is too large to materialize as an integer.
+    """A schedule value or construction size is too large to materialize.
 
     The doubly exponential height recursion leaves the representable range
     after a few levels (at k=1 the fourth height already has ~10^78 digits),
-    so values past the guard cannot be held in memory at all.
+    and sizes grow exponentially in a level or height, so values past the
+    guard cannot be held in memory at all.
     """
 
 
@@ -76,4 +85,5 @@ class CapExceeded(TdforgeError):
     def __init__(self, size: int, cap: int, what: str = "instance"):
         self.size = size
         self.cap = cap
-        super().__init__(f"{what} has size {size}, exact search is capped at {cap}")
+        super().__init__(f"{what} has size {count_text(size)}, "
+                         f"exact search is capped at {cap}")

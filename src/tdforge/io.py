@@ -26,11 +26,11 @@ def json_chunks(obj) -> Iterator[str]:
     yields every bracket, separator and scalar as a chunk of its own. This
     writer builds one string per piece and escapes strings with the C
     escaper json.dumps uses under ensure_ascii; a list of string pairs is
-    one format string filled with all its escaped strings. json.dumps
-    itself spells the other scalars and the dict keys that are not
-    strings, and raises its TypeError on what it cannot serialize. A
-    container that holds itself exhausts the recursion limit instead of
-    raising json's ValueError.
+    one format string filled with all its escaped strings; ints of any size
+    go through int_text. json.dumps itself spells the other scalars and the
+    dict keys that are not strings, and raises its TypeError on what it
+    cannot serialize. A container that holds itself exhausts the recursion
+    limit instead of raising json's ValueError.
     """
     return _chunks(obj, "\n", 2)
 
@@ -57,11 +57,26 @@ def _chunks(o, pad: str, levels: int) -> Iterator[str]:
     yield close
 
 
+def int_text(n: int) -> str:
+    """str(n), exact at any size: str() refuses past
+    sys.get_int_max_str_digits() digits (never below 640), so n is split at
+    a power of ten until each piece is below 2^2000 (603 digits)."""
+    if n < 0:
+        return "-" + int_text(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    digits = n.bit_length() * 3 // 20  # log10(2) / 2 is about 3 / 20
+    high, low = divmod(n, 10 ** digits)
+    return int_text(high) + int_text(low).zfill(digits)
+
+
 def _text(o, pad: str) -> str:
     """o as json.dumps(o, indent=2) writes it at the nesting depth whose
     line break and indent is pad, as one string."""
     if isinstance(o, str):
         return _string(o)
+    if type(o) is int:
+        return int_text(o)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"

@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .decomposition import TreeDecomposition, _anchored, from_subtrees, validate
+from .decomposition import TreeDecomposition, validate
 from .errors import CapExceeded
-from .graphs import (Graph, HostTree, Vertex, component_in, is_connected,
+from .graphs import (Graph, HostTree, component_in, is_connected,
                      path_graph, tree_diameter)
 
 SAT = "SAT"
@@ -133,17 +133,12 @@ def _det_bareiss(mat: List[List[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def count_spanning_trees(g: Graph, pivot_order: Optional[List[Vertex]] = None) -> int:
-    """Exact spanning-tree count via an integer Laplacian-minor determinant.
-
-    pivot_order fixes the vertex order of the matrix; any order gives the
-    same count, which the tests exploit as a second independent evaluation.
-    """
+def count_spanning_trees(g: Graph) -> int:
+    """Exact spanning-tree count via an integer Laplacian-minor determinant,
+    over the vertices in g.vertices order."""
     if not is_connected(g):
         raise ValueError("need a connected graph")
-    verts = list(pivot_order) if pivot_order is not None else list(g.vertices)
-    if len(verts) != len(g) or set(verts) != g.vertex_set:
-        raise ValueError("pivot_order must be a permutation of the vertices")
+    verts = g.vertices
     if len(verts) == 1:
         return 1
     index = {v: i for i, v in enumerate(verts)}
@@ -399,14 +394,12 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
         return True
 
     def finish() -> TreeDecomposition:
-        assignment = {verts[i]: frozenset(verts[j] for j in range(n)
-                                          if sub[i] >> j & 1)
-                      for i in range(n)}
-        td = from_subtrees(host, assignment)
-        assert validate(g, td)
-        assert td.width() <= budget
-        if anchored:
-            assert _anchored(g, td)
+        td = TreeDecomposition(host, {x: [v for v, s in zip(verts, sub)
+                                          if s >> j & 1]
+                                      for j, x in enumerate(verts)})
+        report = validate(g, td)
+        assert report and td.width() <= budget
+        assert report.anchored or not anchored
         return td
 
     def rec(j: int, levels: List[int]) -> Optional[TreeDecomposition]:

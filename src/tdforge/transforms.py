@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet
 
 from .constructions import GadgetInstance
 from .decomposition import (TreeDecomposition, ValidationReport, Violation,
-                            _anchored, validate)
+                            validate)
 from .errors import HostNotSpanning, ReductionInvalid
 from .graphs import (Graph, Vertex, Edge, component_in, connected_in, edge,
                      is_connected, is_spanning_tree, is_tree)
@@ -215,5 +215,5 @@ def reduce_to_anchored(inst: GadgetInstance, td: TreeDecomposition
     if not out_report:
         raise ReductionInvalid(out_report)
     assert out.width() <= td.width() + 1
-    assert _anchored(base, out)
+    assert out_report.anchored
     return out

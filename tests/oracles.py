@@ -5,8 +5,11 @@ explicitly enumerated candidates, a flood for the decider's candidates,
 subset enumeration for counting, and permutation search for treewidth,
 rng.choice for the spanning-tree walk, relabelling for the reflected
 tree, a level-by-level breadth-first search for components, and
-name-set recursion over that search for the certificate. None of it
-shares code with the engines under test beyond the basic graph and
+name-set recursion over that search for the certificate. from_subtrees
+builds a decomposition from explicit subtrees, checking each one with
+that search; the naive decider builds its candidates with it, and tests
+use it to write decompositions by their subtrees. None of it shares code
+with the engines under test beyond the basic graph, decomposition and
 reflected-tree types, the spanning-tree predicates and the validator.
 sample_spanning_tree alone is no oracle: it is one draw of the package's
 own sampler, kept here because only tests draw single trees.
@@ -14,10 +17,10 @@ own sampler, kept here because only tests draw single trees.
 
 import itertools
 import random
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from tdforge.constructions import ReflectedTree
-from tdforge.decomposition import from_subtrees, is_anchored, validate
+from tdforge.decomposition import TreeDecomposition, is_anchored, validate
 from tdforge.errors import StructureViolation
 from tdforge.graphs import (Edge, Graph, Vertex, edge, is_connected,
                             is_spanning_tree)
@@ -186,6 +189,29 @@ def bfs_component(g: Graph, nodes, start: str) -> Dict[str, int]:
                     nxt.append(w)
         level = nxt
     return dist
+
+
+def from_subtrees(host: Graph, assignment: Mapping[Vertex, Iterable[Vertex]]
+                  ) -> TreeDecomposition:
+    """The decomposition on host whose subtrees are exactly the given sets.
+
+    Each assigned set must be a non-empty set of host nodes that
+    bfs_component finds connected, and host must be a tree
+    (TreeDecomposition checks it)."""
+    bags: Dict[Vertex, set] = {x: set() for x in host.vertices}
+    for v, nodes in assignment.items():
+        ns = set(nodes)
+        if not ns:
+            raise ValueError(f"empty subtree assigned to {v!r}")
+        stray = ns - host.vertex_set
+        if stray:
+            raise ValueError(f"subtree of {v!r} uses non-host nodes: "
+                             f"{sorted(stray)!r}")
+        if len(bfs_component(host, ns, next(iter(ns)))) != len(ns):
+            raise ValueError(f"subtree of {v!r} is disconnected")
+        for x in ns:
+            bags[x].add(v)
+    return TreeDecomposition(host, bags)
 
 
 def path_edges(path: List[Vertex]) -> FrozenSet[Edge]:

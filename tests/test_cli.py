@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -13,8 +14,9 @@ import pytest
 
 from tdforge import io
 from tdforge.cli import main
+from tdforge.constructions import gadget_schedule
 from tdforge.graphs import Graph, cycle_graph, path_graph
-from jsonfiles import dump_json, load_json
+from jsonfiles import dump_json, exact_int, load_json
 
 pytestmark = pytest.mark.usefixtures("in_tmp")
 
@@ -319,6 +321,19 @@ class TestSchedule:
     def test_unrepresentable_schedule(self, capsys):
         assert main(["schedule", "--k", "1", "--n", "3"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_values_past_the_digit_limit(self, capsys):
+        """Sizes of tens of thousands of digits print and write exactly."""
+        want = gadget_schedule(10, 2)
+        assert main(["schedule", "--k", "10", "--n", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7
+        assert exact_int(lines[3].split(" = ")[1]) == want.tree_sizes[0]
+        assert main(["schedule", "--k", "10", "--n", "2",
+                     "--out", "s.json"]) == 0
+        with open("s.json") as fh:
+            obj = json.load(fh, parse_int=exact_int)
+        assert io.schedule_from_obj(obj) == want
 
 
 class TestTransform:
@@ -756,6 +771,47 @@ class TestMalformedInput:
         self.assert_usage_error_with_manifest(
             "transform", "minor-to-spanning", "--graph", "g.json",
             "--td", "td.json", "--model", "model.json")
+
+    def huge_inputs(self, big):
+        """Argument lists whose level or toy height is big, with P2 and a
+        certificate of level big on disk."""
+        write_graph(path_graph(2), "p2.json")
+        write_level2_host()
+        write_level2_anchored_td()
+        assert main(["certify", "--r", "2", "--spanning-tree", "host.json",
+                     "--out", "cert.json"]) == 0
+        cert = load_json("cert.json")
+        cert["level"] = big
+        dump_json(cert, "big.json")
+        toy = ["--toy-heights", str(big), "--toy-widths", "2"]
+        return [["construct", "reflected-tree", "--r", str(big)],
+                ["certify", "--r", str(big), "--sample", "1"],
+                ["audit", "--certificate", "big.json", "--td", "atd.json"],
+                ["construct", "gadget", "--k", "1", "--graph", "p2.json", *toy],
+                ["pipeline", "--k", "1", *toy]]
+
+    def test_huge_levels_and_heights_name_the_cap(self, capsys):
+        """Exit 2 with one error line naming the level or height and the
+        vertex cap, never str()'s digit-limit error."""
+        runs = [(argv, 20000) for argv in self.huge_inputs(20000)]
+        runs.append((["construct", "gadget", "--k", "10", "--graph",
+                      "p2.json"], 20737))
+        capsys.readouterr()
+        for argv, named in runs:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1].startswith("error: ") and len(err) <= 2, err
+            assert f" {named} " in err[-1] and "cap is 500000" in err[-1]
+
+    def test_a_level_or_height_of_10_to_the_12_is_refused_at_once(self,
+                                                                  capsys):
+        for argv in self.huge_inputs(10 ** 12):
+            capsys.readouterr()
+            start = time.perf_counter()
+            assert main(argv) == 2, argv
+            assert time.perf_counter() - start < 1.0, argv
+            err = capsys.readouterr().err.splitlines()
+            assert f" {10 ** 12} needs more than" in err[-1], err
 
     def test_failed_run_still_writes_manifest(self, capsys):
         assert main(["search", "tw", "--graph", "missing.json",

@@ -82,6 +82,18 @@ class TestReflectedTree:
         with pytest.raises(ValueError):
             reflected_tree(0)
 
+    def test_a_huge_level_is_refused_by_its_size(self):
+        """The message shortens a total str() could not spell; .total
+        stays exact. Past the bit guard the order is never computed."""
+        with pytest.raises(SizeExceeded) as exc:
+            reflected_tree(20000)
+        assert exc.value.total == 3 * 2 ** 19999 - 2
+        assert str(exc.value) == ("reflected tree of level 20000 needs at "
+                                  "least 2^20000 vertices, cap is 500000")
+        for fn in (reflected_tree, reflected_tree_order, reflected_tree_size):
+            with pytest.raises(ScheduleTooLarge, match="level 1000000000000"):
+                fn(10 ** 12)
+
 
 class TestAryTrees:
     def test_size_formula(self):
@@ -123,6 +135,17 @@ class TestAryTrees:
     def test_cap(self):
         with pytest.raises(SizeExceeded):
             complete_ary_tree(10, 9, cap=1000)
+
+    def test_a_huge_height_is_refused_before_its_power(self):
+        for fn in (ary_tree_size, complete_ary_tree):
+            with pytest.raises(ScheduleTooLarge,
+                               match="2-ary tree of height 1000000000000"):
+                fn(2, 10 ** 12)
+        with pytest.raises(ScheduleTooLarge, match="height 1000000000000"):
+            toy_schedule(1, 1, [10 ** 12], [2])
+        with pytest.raises(SizeExceeded, match=r"heights up to 20000 needs "
+                           r"at least 2\^20000 vertices, cap is 500000"):
+            attach_gadgets(Graph(["a"]), None, toy_schedule(1, 1, [20000], [2]))
 
 
 class TestSchedules:

@@ -12,14 +12,13 @@ from tdforge.decomposition import (
     UNCOVERED_EDGE,
     TreeDecomposition,
     classify_vertices,
-    from_subtrees,
     is_anchored,
     validate,
 )
 from tdforge.graphs import Graph, cycle_graph, is_spanning_tree, path_graph
 from tdforge.transforms import minor_to_spanning
 from generators import random_model_and_td, random_spanning_tree, random_tree
-from oracles import bfs_path
+from oracles import bfs_path, from_subtrees
 
 
 def square_on_path():
@@ -109,6 +108,9 @@ class TestValidate:
 
 
 class TestFromSubtrees:
+    """The oracles' from_subtrees, which tests and the naive decider use
+    to build decompositions by their subtrees."""
+
     def test_round_trip(self):
         g, td = square_on_path()
         assignment = {v: td.subtree_of(v) for v in g.vertices}
@@ -156,6 +158,19 @@ class TestIsAnchored:
         with pytest.raises(ValueError):
             is_anchored(g, TreeDecomposition(td.host, {}))
 
+    def test_invalid_decomposition_reports_not_anchored(self):
+        """Dropping c01 from c00's bag uncovers the edge c00-c01, while the
+        host still spans g and every vertex stays in its own bag: the
+        report is invalid and not anchored, and is_anchored still raises."""
+        g, td = square_on_path()
+        bags = td.bags
+        bags["c00"] = bags["c00"] - {"c01"}
+        broken = TreeDecomposition(td.host, bags)
+        report = validate(g, broken)
+        assert not report and not report.anchored
+        with pytest.raises(ValueError):
+            is_anchored(g, broken)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_matches_definition(self, seed):
@@ -174,10 +189,11 @@ class TestIsAnchored:
             tds.append(from_subtrees(host, {v: bfs_path(host, centre, end)
                                             for v, end in ends.items()}))
         for d in tds:
-            assert validate(g, d)
-            assert is_anchored(g, d) == (
-                is_spanning_tree(g, d.host)
-                and all(x in d.bag(x) for x in g.vertices))
+            report = validate(g, d)
+            definition = (is_spanning_tree(g, d.host)
+                          and all(x in d.bag(x) for x in g.vertices))
+            assert report
+            assert report.anchored == is_anchored(g, d) == definition
 
 
 class TestClassifyVertices:

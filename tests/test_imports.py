@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports, imports
 nothing outside the standard library and the package itself, and none
-indents JSON through json.dumps; cli.py opens a file for writing in one
+indents JSON through json.dumps; no module imports a _-prefixed name from
+another module of the package; cli.py opens a file for writing in one
 place; every private function and method has a caller in the package."""
 
 import ast
@@ -95,6 +96,38 @@ def test_stdlib_checker_flags_third_party_imports():
 def test_stdlib_only(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert outside_imports(fh.read()) == []
+
+
+def private_imports(source: str):
+    """The _-prefixed names other than dunders, anywhere in the module,
+    that it imports from the package: by a relative import or from
+    tdforge. A module's private names are its own; another module that
+    needs one needs a public name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "tdforge"):
+            names += [a.name for a in node.names if a.name.startswith("_")
+                      and not a.name.endswith("__")]
+    return sorted(names)
+
+
+def test_private_import_checker_flags_package_privates():
+    source = ("from __future__ import annotations\n"
+              "from json.encoder import encode_basestring_ascii as _string\n"
+              "from . import __version__, io\n"
+              "from .decomposition import _x, validate\n"
+              "from .graphs import Graph as _Graph\n"
+              "from tdforge.search import _wilson\n"
+              "def f():\n"
+              "    from ..io import _key\n")
+    assert private_imports(source) == ["_key", "_wilson", "_x"]
+
+
+def test_no_module_imports_a_package_private():
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            assert private_imports(fh.read()) == [], module
 
 
 def indented_json_calls(source: str):

@@ -15,6 +15,7 @@ from tdforge.decomposition import TreeDecomposition
 from tdforge.graphs import Graph, complete_graph, path_graph
 from tdforge.search import enumerate_spanning_trees
 from generators import random_model_and_td
+from jsonfiles import exact_int
 
 
 class TestGraphRoundTrip:
@@ -275,6 +276,31 @@ class TestJsonText:
         with pytest.raises(TypeError) as got:
             "".join(io.json_chunks(obj))
         assert str(got.value) == str(want.value)
+
+
+class TestIntText:
+    """io.int_text is str() wherever str() can spell the int, and past its
+    digit limit spells it exactly."""
+
+    def test_matches_str(self):
+        rng = random.Random(3)
+        values = [0, 1, -1, 10 ** 602, 10 ** 603 - 1, 2 ** 2000, -(2 ** 2001)]
+        values += [rng.getrandbits(rng.randrange(1, 14000)) for _ in range(60)]
+        for n in values:
+            assert io.int_text(n) == str(n)
+
+    def test_past_the_digit_limit(self):
+        for n in (10 ** 5000, 10 ** 5000 - 1, 3 ** 40000, -(7 ** 9000) + 1,
+                  5 * 10 ** 20000 + 1):
+            text = io.int_text(n)
+            sign = text[0] == "-"
+            assert text.lstrip("-")[0] != "0"
+            assert (-1 if sign else 1) * exact_int(text.lstrip("-")) == n
+
+    def test_json_writes_a_huge_int_exactly(self):
+        n = 11 ** 9000
+        text = "".join(io.json_chunks({"sizes": [n, 2]}))
+        assert json.loads(text, parse_int=exact_int) == {"sizes": [n, 2]}
 
 
 class TestJsonChunks:
