@@ -312,6 +312,7 @@ def cmd_decide(run: Run, args) -> int:
     run.decider = {"source": res.source, "nodes": res.nodes,
                    "pruned": {"no_room": res.pruned_no_room,
                               "path": res.pruned_path,
+                              "meet": res.pruned_meet,
                               "dominated": res.pruned_dominated}}
     out = {"status": res.status, "budget": res.budget,
            "anchored": res.anchored, "nodes": res.nodes}

@@ -35,6 +35,7 @@ class DeciderResult:
     # branches the look-ahead cut, by rule (see min_width_on_tree)
     pruned_no_room: int
     pruned_path: int
+    pruned_meet: int
     # meeting nodes skipped because a lower one dominates them (same
     # docstring)
     pruned_dominated: int
@@ -289,21 +290,33 @@ def min_width_on_tree(g: Graph, host: Graph, budget: int,
 
     After each placement, and once before the first, a look-ahead scans the
     edges still pending (endpoint subtrees disjoint) and cuts the branch by
-    either of two rules; the result counts the cuts of each.
+    any of three rules; the result counts the cuts of each.
     - No room (pruned_no_room): no node has room for two more guests, and
       neither endpoint subtree has a node with room for one. The subtrees
       must meet, so some node gains a guest: a node outside both would
       gain two, a node inside one would gain the other.
     - Path (pruned_path): both subtrees are non-empty and a host node
-      strictly between them is full. The interior is read from the path
-      row of either subtree at any node of the other, minus both: a tree
-      path leaves one subtree once and enters the other once.
-    Both are sound. Along a branch subtrees only grow and loads only rise.
-    The final subtrees of a and b are connected and meet, so their union
-    contains the whole host path between the current ones; an interior
-    node is in neither yet, so it must take a or b as a new guest, which a
-    full node cannot. A cut therefore removes only branches with no
-    solution, and the search order is unchanged.
+      strictly between them is full. The path row of either subtree, read
+      at any node of the other, covers the host path P between them: a
+      tree path leaves one subtree once and enters the other once. So P
+      minus both subtrees is its interior I, and P's end nodes p (in A =
+      sub[a]) and q (in B = sub[b]) are among its nodes in A or B.
+    - Meet (pruned_meet): both subtrees are non-empty, no node of I has
+      room for two, and every node of the row in A or B is full, so p and
+      q are.
+    All three are sound. Along a branch subtrees only grow and loads only
+    rise. The final subtrees A' and B' of a and b are connected and meet,
+    so their union contains all of P, and every node of I, being in
+    neither yet, must take a or b as a new guest, which a full node cannot.
+    Moreover, for a node z of both, A' holds the tree path from p to z and
+    B' the one from q to z; these share the node m where z's path meets P,
+    so m is in A' and B'. Either m = p, which gains b; or m = q, which
+    gains a; or m is in I and gains both. A full p or q gains nothing and
+    a node of I without room for two cannot gain both, so the meet rule
+    leaves no m. A cut therefore removes only branches with no solution,
+    and the search order is unchanged. The path and meet rules both need
+    a full node on P, so an edge whose row holds none is passed over, and
+    the scan is skipped while no node is full and some has room for two.
 
     Dominance (pruned_dominated; Jouglet and Carlier, "Dominance rules in
     combinatorial optimization problems", 2011): a candidate x is skipped
@@ -337,7 +350,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     t0 = time.perf_counter()
     if budget < bound:
         return DeciderResult(UNSAT, None, budget, anchored, 0,
-                             time.perf_counter() - t0, BOUND, 0, 0, 0)
+                             time.perf_counter() - t0, BOUND, 0, 0, 0, 0)
     g, host = tree.graph, tree.tree
     verts = tree.vertices
     n = len(verts)
@@ -367,13 +380,13 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     # levels[k]: the nodes holding at least k guests, for k = 0..cap; so
     # levels[cap] has no room for one more and levels[cap - 1] none for two
     levels = [full, full] + [0] * (cap - 1) if own else [full] + [0] * cap
-    nodes = pruned_no_room = pruned_path = pruned_dominated = 0
+    nodes = pruned_no_room = pruned_path = pruned_meet = pruned_dominated = 0
 
     def future_ok(start: int, levels: List[int]) -> bool:
-        nonlocal pruned_no_room, pruned_path
-        fulls = levels[cap]
-        roomy = levels[cap - 1] != full  # some node has room for two
-        if roomy and not fulls:  # neither rule can fire
+        nonlocal pruned_no_room, pruned_path, pruned_meet
+        fulls, tight = levels[cap], levels[cap - 1]
+        roomy = tight != full  # some node has room for two
+        if roomy and not fulls:  # no rule can fire
             return True
         for j in range(start, m):
             a, b = epairs[j]
@@ -388,9 +401,16 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
                 row = rows[r]
                 if row is None:
                     row = rows[r] = path_row(r)
-                if row[(sb & -sb).bit_length() - 1] & fulls & ~(sa | sb):
-                    pruned_path += 1
-                    return False
+                path = row[(sb & -sb).bit_length() - 1]
+                # both rules need a full node on the path
+                if path & fulls:
+                    ends = sa | sb
+                    if path & fulls & ~ends:
+                        pruned_path += 1
+                        return False
+                    if not (path & ~(ends | tight) or path & ends & ~fulls):
+                        pruned_meet += 1
+                        return False
         return True
 
     def finish() -> TreeDecomposition:
@@ -454,7 +474,8 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     witness = rec(0, levels) if future_ok(0, levels) else None
     return DeciderResult(UNSAT if witness is None else SAT, witness, budget,
                          anchored, nodes, time.perf_counter() - t0, SEARCH,
-                         pruned_no_room, pruned_path, pruned_dominated)
+                         pruned_no_room, pruned_path, pruned_meet,
+                         pruned_dominated)
 
 
 def decide_over_trees(g: Graph, trees: Iterable, budget: int,

@@ -107,6 +107,11 @@ def complete_model(m: MinorModel) -> MinorModel:
         raise ValueError(f"model is invalid: {report}")
     if not is_connected(m.graph):
         raise ValueError("completion needs a connected graph")
+    return _complete(m)
+
+
+def _complete(m: MinorModel) -> MinorModel:
+    """complete_model on a valid model of a connected graph."""
     assigned: Dict[Vertex, Vertex] = {}
     for x, q in m.branch_sets.items():
         for v in q:
@@ -154,7 +159,7 @@ def minor_to_spanning(g: Graph, td: TreeDecomposition, m: MinorModel
     if not td_report:
         raise ValueError(f"input decomposition invalid: {td_report}")
     if not m.is_covering():
-        m = complete_model(m)
+        m = _complete(m)
     host_edges = []
     branch_of: Dict[Vertex, Vertex] = {}
     for x in sorted(m.branch_sets):

@@ -4,13 +4,14 @@ Everything here trades speed for obviousness: subtree-product search over
 explicitly enumerated candidates, a flood for the decider's candidates,
 subset enumeration for counting, and permutation search for treewidth,
 rng.choice for the spanning-tree walk, relabelling for the reflected
-tree, a level-by-level breadth-first search for components, and
-name-set recursion over that search for the certificate. from_subtrees
+tree, a level-by-level breadth-first search for components, the
+connectivity and spanning-tree predicates built on it, and name-set
+recursion over that search for the certificate. from_subtrees
 builds a decomposition from explicit subtrees, checking each one with
 that search; the naive decider builds its candidates with it, and tests
 use it to write decompositions by their subtrees. None of it shares code
 with the engines under test beyond the basic graph, decomposition and
-reflected-tree types, the spanning-tree predicates and the validator.
+reflected-tree types and the validator.
 sample_spanning_tree alone is no oracle: it is one draw of the package's
 own sampler, kept here because only tests draw single trees.
 """
@@ -22,8 +23,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 from tdforge.constructions import ReflectedTree
 from tdforge.decomposition import TreeDecomposition, is_anchored, validate
 from tdforge.errors import StructureViolation
-from tdforge.graphs import (Edge, Graph, Vertex, edge, is_connected,
-                            is_spanning_tree)
+from tdforge.graphs import Edge, Graph, Vertex, edge
 from tdforge.search import _wilson
 
 
@@ -191,6 +191,20 @@ def bfs_component(g: Graph, nodes, start: str) -> Dict[str, int]:
     return dist
 
 
+def bfs_connected(g: Graph) -> bool:
+    """Whether g has a vertex and bfs_component reaches every vertex from
+    the first."""
+    return bool(g.vertices) and len(
+        bfs_component(g, g.vertex_set, g.vertices[0])) == len(g)
+
+
+def spans_as_tree(g: Graph, t: Graph) -> bool:
+    """Whether t is a spanning tree of g: the same vertices, edges of g
+    only, one edge fewer than vertices, and connected."""
+    return (t.vertex_set == g.vertex_set and t.edges <= g.edges
+            and len(t.edges) == len(t) - 1 and bfs_connected(t))
+
+
 def from_subtrees(host: Graph, assignment: Mapping[Vertex, Iterable[Vertex]]
                   ) -> TreeDecomposition:
     """The decomposition on host whose subtrees are exactly the given sets.
@@ -242,7 +256,7 @@ def brute_count_spanning_trees(g: Graph) -> int:
     """Count spanning trees by testing every (n-1)-edge subset."""
     n = len(g)
     return sum(1 for comb in itertools.combinations(sorted(g.edges), n - 1)
-               if is_spanning_tree(g, Graph(g.vertices, comb)))
+               if spans_as_tree(g, Graph(g.vertices, comb)))
 
 
 def brute_treewidth(g: Graph) -> int:
@@ -277,7 +291,7 @@ def choice_spanning_tree(g: Graph, rng: random.Random) -> Graph:
     """One uniformly random spanning tree (loop-erased random walk) over
     dicts and sets, each step an rng.choice over the neighbour tuple: the
     reference for the stream the indexed sampler must draw."""
-    if not is_connected(g):
+    if not bfs_connected(g):
         raise ValueError("need a connected graph")
     verts = g.vertices
     in_tree = {verts[0]}
@@ -348,7 +362,7 @@ def reference_matching(rt: ReflectedTree, t: Graph
     reflected_matching does."""
     if rt.level < 2:
         raise ValueError("certificates need level >= 2")
-    if not is_spanning_tree(rt.graph, t):
+    if not spans_as_tree(rt.graph, t):
         raise ValueError("t is not a spanning tree of the reflected tree")
 
     def spans(nodes) -> bool:

@@ -455,7 +455,8 @@ class TestSearchCommands:
         manifest = load_json("tdforge.manifest.json")
         assert manifest["decider"] == {
             "source": "bound", "nodes": 0,
-            "pruned": {"no_room": 0, "path": 0, "dominated": 0}}
+            "pruned": {"no_room": 0, "path": 0, "meet": 0,
+                       "dominated": 0}}
         assert main(["search", "decide", "--graph", "g.json", "--host",
                      "host.json", "--budget", "2", "--anchored"]) == 0
         high = json.loads(capsys.readouterr().out)
@@ -464,7 +465,8 @@ class TestSearchCommands:
         manifest = load_json("tdforge.manifest.json")
         assert manifest["decider"] == {
             "source": "search", "nodes": high["nodes"],
-            "pruned": {"no_room": 0, "path": 0, "dominated": 0}}
+            "pruned": {"no_room": 0, "path": 0, "meet": 0,
+                       "dominated": 0}}
 
     def test_min_anchored(self, capsys):
         write_graph(cycle_graph(4), "g.json")
@@ -931,11 +933,12 @@ class TestPinnedOutputs:
         g = reflected_tree(3).graph
         write_graph(g, "g.json")
         write_graph(next(enumerate_spanning_trees(g)), "host.json")
+        # 643 nodes before the path look-ahead, 80 before the meet rule
         assert self.decide_digest(tmp_path, [
             "search", "decide", "--graph", "g.json", "--host", "host.json",
             "--budget", "2"]) == (
             "a87a6c04a42451205ad15fc28ced9340397cd92d27275f251b40309edba60383",
-            80)  # 643 nodes before the path look-ahead
+            75)
 
     def test_deep_unsat_decide_digest(self, tmp_path, capsys):
         """Status and node count of an anchored budget-2 UNSAT proof on a
@@ -946,11 +949,13 @@ class TestPinnedOutputs:
         g = reflected_tree(4).graph
         write_graph(g, "g.json")
         write_graph(next(sample_spanning_trees(g, 1, seed=43)).tree, "host.json")
+        # 4,096 nodes before the path look-ahead, 70 before dominance, 25
+        # before the meet rule
         assert self.decide_digest(tmp_path, [
             "search", "decide", "--graph", "g.json", "--host", "host.json",
             "--budget", "2", "--anchored"]) == (
             "dbb452efc33057799d44b0fb6682be87750549f8057423af9864f9bc8c47129b",
-            25)  # 4,096 before the path look-ahead, 70 before dominance
+            24)
 
     def test_min_anchored_digest(self, tmp_path, capsys):
         """Width, host and witness of the minimum anchored width over the

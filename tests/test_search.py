@@ -328,11 +328,11 @@ class TestDecider:
         """The search itself, with no bound (bound 0), against the oracle at
         budgets 0..3 on a seeded slice of the oracle corpus: K4 and K5, whose
         UNSAT answers the bound would otherwise settle, and 20 more graphs,
-        on up to two seeded hosts each. The path look-ahead and the
-        dominance rule cut branches on this slice, so the oracle checks
-        them too."""
+        on up to two seeded hosts each. The path and meet look-ahead rules
+        and the dominance rule cut branches on this slice, so the oracle
+        checks them too."""
         graphs = oracle_corpus()
-        path_cuts = dominated_cuts = 0
+        path_cuts = meet_cuts = dominated_cuts = 0
         rng = random.Random(17)
         complete = [next(g for g in graphs if len(g) == n and
                          len(g.edges) == n * (n - 1) // 2) for n in (4, 5)]
@@ -346,6 +346,7 @@ class TestDecider:
                     for b in range(4):
                         res = search._decide(tree, b, anchored, 0)
                         path_cuts += res.pruned_path
+                        meet_cuts += res.pruned_meet
                         dominated_cuts += res.pruned_dominated
                         if res.is_sat:
                             got = b
@@ -353,18 +354,43 @@ class TestDecider:
                     assert got == want
                     assert minor_min_width(g) <= want
         assert path_cuts > 0
+        assert meet_cuts > 0
         assert dominated_cuts > 0
+
+    def test_meet_rule_cuts_where_the_path_rule_cannot(self):
+        """A triangle c, x, y with a pendant p, hosted on the star at c,
+        unanchored at budget 1. One branch puts edge cx at node x and edge
+        cy at node y: x holds c and x, y holds c and y, and both are full.
+        c holds c alone, so no node between x and y is full and the path
+        rule has nothing to cut. The subtrees {x} and {y} of the pending
+        edge xy can now meet only at c, which would hold three, and the
+        meet rule cuts the branch. The status agrees with the oracle in
+        both modes, with and without the lower bound."""
+        g = Graph(["c", "p", "x", "y"],
+                  [("c", "p"), ("c", "x"), ("c", "y"), ("x", "y")])
+        host = Graph(g.vertices, [("c", "p"), ("c", "x"), ("c", "y")])
+        tree = HostTree(g, host)
+        res = search._decide(tree, 1, False, 0)
+        assert (res.status, res.pruned_no_room, res.pruned_path) == (
+            UNSAT, 0, 0)
+        assert res.pruned_meet > 0
+        for anchored in (False, True):
+            want = naive_threshold(g, host, 3, anchored)
+            for bound in (0, minor_min_width(g)):
+                got = next((b for b in range(4) if search._decide(
+                    tree, b, anchored, bound).is_sat), 4)
+                assert got == want
 
     def test_level3_search_tree_is_pinned(self):
         """The decider's search tree on all 96 level-3 trees at anchored
         budgets 2 and 3 and unanchored budget 3, frozen as totals of nodes
         and of each cut, and a digest of every status and witness. A change
         that makes search nodes cheaper while visiting the same nodes in
-        the same order keeps all five; a cut that removes only branches
+        the same order keeps all six; a cut that removes only branches
         with no solution lowers the totals and keeps the digest."""
         g = reflected_tree(3).graph
         digest = hashlib.sha256()
-        totals = [0, 0, 0, 0]
+        totals = [0, 0, 0, 0, 0]
         for t in enumerate_spanning_trees(g):
             for budget, anchored in ((2, True), (3, True), (3, False)):
                 res = min_width_on_tree(g, t, budget, anchored)
@@ -372,13 +398,14 @@ class TestDecider:
                 totals[0] += res.nodes
                 totals[1] += res.pruned_no_room
                 totals[2] += res.pruned_path
-                totals[3] += res.pruned_dominated
+                totals[3] += res.pruned_meet
+                totals[4] += res.pruned_dominated
                 bags = None if res.witness is None else sorted(
                     (v, sorted(b)) for v, b in res.witness.bags.items())
                 digest.update(repr((res.status, bags)).encode())
         # [147121, 437, 99805] (nodes, no-room and path cuts) before the
-        # dominance rule
-        assert totals == [54406, 200, 33372, 10755]
+        # dominance rule; [54406, 200, 33372, 0, 10755] before the meet rule
+        assert totals == [52190, 187, 31445, 4277, 10575]
         assert digest.hexdigest() == ("8f8ef191e0fcfe061727e7a508895d65"
                                       "729d80766c27b7079888ace6a5571044")
 
@@ -406,7 +433,7 @@ class TestDecider:
                         (v, sorted(b)) for v, b in res.witness.bags.items())
                     seen.add((res.status, repr(bags), res.nodes,
                               res.pruned_no_room, res.pruned_path,
-                              res.pruned_dominated))
+                              res.pruned_meet, res.pruned_dominated))
                 assert len(seen) == 1
 
     def test_tree_hosts_itself_at_width_one(self):

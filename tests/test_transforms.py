@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tdforge import transforms
 from tdforge.constructions import GadgetInstance, attach_gadgets, toy_schedule
 from tdforge.decomposition import (
     UNCOVERED_EDGE,
@@ -125,6 +126,29 @@ class TestMinorToSpanning:
         out = minor_to_spanning(g, td, model)  # completion absorbs the rest
         assert out.host.edges == g.edges  # the path spans itself
         assert out.width() == 3
+
+    def test_non_covering_model_is_checked_once(self, monkeypatch):
+        """With c04 left out of every branch set, minor_to_spanning
+        completes the model itself: c04 joins x, its least neighbouring
+        branch, and inherits x's bag. The model is validated and the graph
+        checked for connectivity once each, and the result is the one the
+        completed model gives."""
+        g, td, model = five_cycle_model()
+        partial = MinorModel(g, model.pattern,
+                             {**model.branch_sets, "y": {"c03"}},
+                             model.edge_map)
+        want = minor_to_spanning(g, td, complete_model(partial))
+        calls = []
+        for name in ("validate_model", "is_connected"):
+            def counted(*args, name=name, real=getattr(transforms, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(transforms, name, counted)
+        out = minor_to_spanning(g, td, partial)
+        assert sorted(calls) == ["is_connected", "validate_model"]
+        assert out.host == want.host
+        assert out.bags == want.bags
+        assert out.bag("c04") == td.bag("x")
 
     def test_mismatched_inputs(self):
         g, td, model = five_cycle_model()
