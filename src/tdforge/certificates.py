@@ -14,7 +14,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .constructions import ReflectedTree
 from .decomposition import TreeDecomposition, validate
-from .errors import CertificateContradiction, HypothesisViolated, StructureViolation
+from .errors import (CertificateContradiction, CertificateRejected,
+                     HypothesisViolated, StructureViolation)
 from .graphs import Edge, Graph, HostTree, Matching, Vertex, edge
 
 
@@ -280,11 +281,13 @@ def bag_lower_bound(rt: ReflectedTree, cert: WidthCertificate,
     For each matching edge, the hub lies on the tree path between its
     endpoints, which the two endpoint subtrees jointly cover; so one endpoint
     sits in the hub's bag. Returns the hub and one forced, pairwise distinct
-    vertex per matching edge, proving |B_hub| >= level - 1.
+    vertex per matching edge, proving |B_hub| >= level - 1. A certificate
+    that does not verify is refused with CertificateRejected, which carries
+    the failed check.
     """
     check = verify_certificate(rt, cert)
     if not check:
-        raise HypothesisViolated(f"certificate does not verify: {check.reasons}")
+        raise CertificateRejected(check)
     if td.host != cert.host:
         raise HypothesisViolated("decomposition is hosted on a different tree")
     report = validate(rt.graph, td)

@@ -25,8 +25,9 @@ from .certificates import (MatchingPlan, bag_lower_bound, reflected_matching,
 from .constructions import (DEFAULT_CAP, attach_gadgets, gadget_schedule,
                             reflected_tree, toy_schedule)
 from .decomposition import validate
-from .errors import (CapExceeded, CertificateContradiction, ReductionInvalid,
-                     ScheduleTooLarge, SizeExceeded, TdforgeError)
+from .errors import (CapExceeded, CertificateContradiction,
+                     CertificateRejected, ReductionInvalid, ScheduleTooLarge,
+                     SizeExceeded, TdforgeError)
 from .graphs import Graph, HostTree
 from .search import (count_spanning_trees, decide_over_trees,
                      enumerate_spanning_trees, exact_treewidth,
@@ -70,8 +71,16 @@ def _parse_config(path: str, caps: Sequence[str],
                 raise ValueError(f"{path}:{lineno}: {leaf} does not apply "
                                  f"key {key!r}; it applies "
                                  f"{', '.join(caps)}")
-            values[key] = int(val.strip())
+            values[key] = _cap_int(val.strip(), f"{path}:{lineno}: {key}")
     return values
+
+
+def _cap_int(text: str, where: str) -> int:
+    """A cap's value from text; where names its source in the error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where} must be an integer, got {text!r}") from None
 
 
 def resolve_settings(args: argparse.Namespace) -> Settings:
@@ -82,7 +91,8 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
                                                       args.leaf))
     env_cap = os.environ.get("TDFORGE_CAP_VERTICES")
     if env_cap is not None and "cap_vertices" in args.caps:
-        settings = replace(settings, cap_vertices=int(env_cap))
+        settings = replace(settings, cap_vertices=_cap_int(
+            env_cap, "TDFORGE_CAP_VERTICES"))
     if getattr(args, "cap", None) is not None:
         settings = replace(settings, cap_vertices=args.cap)
     if getattr(args, "tw_cap", None) is not None:
@@ -283,13 +293,13 @@ def cmd_audit(run: Run, args) -> int:
     cert = io.certificate_from_obj(run.read_json(args.certificate))
     rt = reflected_tree(cert.level, cap=run.settings.cap_vertices)
     td = _load_td(run, args.td)
-    check = verify_certificate(rt, cert)
-    report = {"certificate_ok": bool(check), "reasons": list(check.reasons)}
-    if not check:
-        run.write(report, args.out)
-        return EXIT_CHECK_FAILED
+    report = {"certificate_ok": True, "reasons": []}
     try:
         hub, forced = bag_lower_bound(rt, cert, td)
+    except CertificateRejected as exc:
+        run.write({"certificate_ok": False, "reasons": list(exc.check.reasons)},
+                  args.out)
+        return EXIT_CHECK_FAILED
     except CertificateContradiction as exc:
         report.update({"bound_holds": False, "contradiction": str(exc)})
         run.write(report, args.out)

@@ -1,4 +1,4 @@
-"""Tree decompositions in subtree view, with validation and classification.
+"""Tree decompositions in subtree view, with validation.
 
 A decomposition is a host tree T plus one bag per host node. The subtree of a
 decomposed vertex v is the set of host nodes whose bag contains v; validity
@@ -11,12 +11,9 @@ vertex lies in its own subtree; validate reports both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, TYPE_CHECKING
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .graphs import Graph, Vertex, connected_in, is_tree
-
-if TYPE_CHECKING:
-    from .constructions import GadgetInstance
 
 EMPTY_SUBTREE = "empty-subtree"
 DISCONNECTED_SUBTREE = "disconnected-subtree"
@@ -87,10 +84,6 @@ class TreeDecomposition:
         """Largest bag size minus one (-1 when all bags are empty)."""
         return max(len(b) for b in self._bags.values()) - 1
 
-    def subtree_of(self, v: Vertex) -> FrozenSet[Vertex]:
-        """Host nodes whose bag contains v."""
-        return frozenset(x for x, b in self._bags.items() if v in b)
-
     def decomposed_vertices(self) -> FrozenSet[Vertex]:
         out = set()
         for b in self._bags.values():
@@ -155,31 +148,3 @@ def is_anchored(g: Graph, td: TreeDecomposition) -> bool:
     if not report:
         raise ValueError("decomposition is not valid for g")
     return report.anchored
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Vertex classes of a decomposition of a gadget-bearing graph.
-
-    A vertex is free when its subtree meets the base graph's vertex set,
-    constrained otherwise. A base vertex is grounded when it lies in its own
-    subtree (equivalently, in its own bag).
-    """
-
-    free: FrozenSet[Vertex]
-    constrained: FrozenSet[Vertex]
-    grounded: FrozenSet[Vertex]
-    ungrounded: FrozenSet[Vertex]
-
-
-def classify_vertices(inst: "GadgetInstance", td: TreeDecomposition) -> Classification:
-    """Split V(inst.graph) into free/constrained and V(inst.base) into grounded/ungrounded."""
-    report = validate(inst.graph, td)
-    if not report:
-        raise ValueError(f"decomposition is not valid for the instance: {report}")
-    base = inst.base.vertex_set
-    subtrees = _subtree_map(td)
-    free = frozenset(v for v in inst.graph.vertices if subtrees.get(v, set()) & base)
-    constrained = inst.graph.vertex_set - free
-    grounded = frozenset(x for x in base if x in subtrees.get(x, set()))
-    return Classification(free, constrained, grounded, base - grounded)

@@ -50,6 +50,14 @@ class HypothesisViolated(TdforgeError):
     """A lower-bound check was invoked on inputs outside its hypotheses."""
 
 
+class CertificateRejected(HypothesisViolated):
+    """A certificate failed verification; carries the failed CertificateCheck."""
+
+    def __init__(self, check):
+        self.check = check
+        super().__init__(f"certificate does not verify: {check.reasons}")
+
+
 class CertificateContradiction(TdforgeError):
     """A verified certificate and a valid anchored decomposition disagree.
 

@@ -10,8 +10,7 @@ are deterministic: ties are broken by sorting identifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
-                    Set, Tuple)
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 Vertex = object  # opaque, order-comparable token; str in practice
 Edge = Tuple[Vertex, Vertex]
@@ -160,13 +159,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(sorted(self.edges))
-
-    @property
-    def vertices(self) -> FrozenSet[Vertex]:
-        return frozenset(v for e in self.edges for v in e)
 
 
 def component_in(g: Graph, nodes: AbstractSet[Vertex],
@@ -348,22 +340,6 @@ class HostTree:
         edges.add((u, v))
         return Cycle(frozenset([vertices[x] for x in below] + [vertices[top]]),
                      frozenset(edges))
-
-
-def tree_diameter(t: Graph) -> int:
-    """Length in edges of a longest path in the tree t: the last vertex a
-    breadth-first search reaches is an end of one, and a second search
-    from it reaches the other end last."""
-    if not is_tree(t):
-        raise ValueError("tree_diameter needs a tree")
-    a = next(reversed(component_in(t, t.vertex_set, t.vertices[0])))
-    pred = component_in(t, t.vertex_set, a)
-    b = next(reversed(pred))
-    d = 0
-    while b != a:
-        b = pred[b]
-        d += 1
-    return d
 
 
 def path_graph(n: int, prefix: str = "p") -> Graph:

@@ -2,7 +2,7 @@
 
 Spanning-tree enumeration, counting, and uniform sampling; an exact decider
 for width-budgeted (optionally anchored) decompositions on a fixed host
-tree; exact treewidth at desk scale; and the long-path threshold checks.
+tree; and exact treewidth at desk scale.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .decomposition import TreeDecomposition, validate
 from .errors import CapExceeded
-from .graphs import (Graph, HostTree, component_in, is_connected,
-                     path_graph, tree_diameter)
+from .graphs import Graph, HostTree, component_in, is_connected
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -615,32 +614,3 @@ def exact_treewidth(g: Graph, cap: int = 14) -> int:
     if len(g) > cap:
         raise CapExceeded(len(g), cap, "exact treewidth")
     return _treewidth_dp(g)
-
-
-# ------------------------------------------------------------ long paths
-
-def longpath_threshold(k: int, h: int) -> int:
-    """Vertex count (k+2)^h past which width-k hosts must contain an h-path."""
-    if k < 1 or h < 1:
-        raise ValueError("need k >= 1 and h >= 1")
-    return (k + 2) ** h
-
-
-def check_longpath_property(n: int, k: int, td: TreeDecomposition) -> bool:
-    """Whether the host of a width-<=k decomposition of the n-path has
-    diameter at least the largest h with (k+2)^h <= n.
-
-    A false return would be a counterexample to the long-path bound.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    g = path_graph(n)
-    report = validate(g, td)
-    if not report:
-        raise ValueError(f"decomposition invalid for the {n}-path: {report}")
-    if td.width() > k:
-        raise ValueError(f"width {td.width()} exceeds k={k}")
-    h = 0
-    while (k + 2) ** (h + 1) <= n:
-        h += 1
-    return tree_diameter(td.host) >= h

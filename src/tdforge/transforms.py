@@ -169,11 +169,9 @@ def minor_to_spanning(g: Graph, td: TreeDecomposition, m: MinorModel
         for v in q:
             branch_of[v] = x
     host_edges.extend(m.edge_map[xy] for xy in m.pattern.edges)
-    host = Graph(g.vertices, host_edges)
-    if not is_spanning_tree(g, host):
-        raise AssertionError("glued host is not a spanning tree; this is a bug")
     bags = {w: td.bag(branch_of[w]) for w in g.vertices}
-    out = TreeDecomposition(host, bags)
+    # on V(g) with edges of g, so the tree check here makes it spanning
+    out = TreeDecomposition(Graph(g.vertices, host_edges), bags)
     out_report = validate(g, out)
     assert out_report, f"rehosted decomposition invalid: {out_report}"
     assert out.width() == td.width()
@@ -186,8 +184,8 @@ def reduce_to_anchored(inst: GadgetInstance, td: TreeDecomposition
     anchored one of the base graph.
 
     The host becomes the induced tree on the base vertices, bags are cut down
-    to base vertices at base-hosted nodes, and every base vertex that is not
-    grounded (not in its own subtree) is injected into its own bag. Width
+    to base vertices at base-hosted nodes, and every base vertex joins its own
+    bag (it is already there when it lies in its own subtree). Width
     grows by at most one. With toy schedules the result can be invalid, in
     which case ReductionInvalid carries the validation report.
     """
@@ -208,13 +206,7 @@ def reduce_to_anchored(inst: GadgetInstance, td: TreeDecomposition
         raise HostNotSpanning(
             "induced host is not a spanning tree of the base; "
             "gadget instances cannot do this, so this is a bug")
-    grounded = {x for x in base.vertices if x in td.bag(x)}
-    bags = {}
-    for x in base.vertices:
-        bag = td.bag(x) & base.vertex_set
-        if x not in grounded:
-            bag = bag | {x}
-        bags[x] = bag
+    bags = {x: td.bag(x) & base.vertex_set | {x} for x in base.vertices}
     out = TreeDecomposition(induced, bags)
     out_report = validate(base, out)
     if not out_report:

@@ -2,7 +2,9 @@
 
 Every generator takes an explicit random.Random so corpora are frozen by
 seed. Validity of generated structures is by construction and re-checked
-by the library validators inside the tests that use them.
+by the library validators inside the tests that use them. Beside
+random_path_decomposition is the long-path property that criterion 11
+checks on its output, with the tree diameter it reads.
 """
 
 import itertools
@@ -10,9 +12,10 @@ import random
 from typing import Dict, List, Tuple
 
 from tdforge.constructions import GadgetInstance, attach_gadgets, toy_schedule
-from tdforge.decomposition import TreeDecomposition
+from tdforge.decomposition import TreeDecomposition, validate
 from tdforge.graphs import Graph, is_connected, path_graph
 from tdforge.transforms import MinorModel
+from oracles import bfs_component
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float,
@@ -204,6 +207,35 @@ def random_path_decomposition(rng: random.Random, n: int, k: int
     build(0, n - 1)
     host = Graph(nodes, host_edges)
     return TreeDecomposition(host, bags)
+
+
+def tree_diameter(t: Graph) -> int:
+    """Length in edges of a longest path in the tree t: a vertex farthest
+    from the first vertex ends one such path, and the largest distance
+    from it is the length."""
+    dist = bfs_component(t, t.vertex_set, t.vertices[0])
+    far = max(dist, key=dist.get)
+    return max(bfs_component(t, t.vertex_set, far).values())
+
+
+def check_longpath_property(n: int, k: int, td: TreeDecomposition) -> bool:
+    """Whether the host of a width-<=k decomposition of the n-path has
+    diameter at least the largest h with (k+2)^h <= n.
+
+    A false return would be a counterexample to the long-path bound.
+    """
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    g = path_graph(n)
+    report = validate(g, td)
+    if not report:
+        raise ValueError(f"decomposition invalid for the {n}-path: {report}")
+    if td.width() > k:
+        raise ValueError(f"width {td.width()} exceeds k={k}")
+    h = 0
+    while (k + 2) ** (h + 1) <= n:
+        h += 1
+    return tree_diameter(td.host) >= h
 
 
 # Size/density plan for the decider-vs-oracle corpus. Counts sum to 500.

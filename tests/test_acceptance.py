@@ -19,7 +19,6 @@ from tdforge import (
     CertificateContradiction,
     ReductionInvalid,
     bag_lower_bound,
-    check_longpath_property,
     count_spanning_trees,
     decide_over_trees,
     enumerate_spanning_trees,
@@ -42,6 +41,7 @@ from tdforge import (
     verify_certificate,
 )
 from generators import (
+    check_longpath_property,
     oracle_corpus,
     random_model_and_td,
     random_path_decomposition,

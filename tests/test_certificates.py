@@ -61,7 +61,7 @@ class TestReflectedMatching:
             cert = reflected_matching(rt, t)
             assert len(cert.matching) == 2
             assert all(e in rt.graph.edges and e not in t.edges
-                       for e in cert.matching)
+                       for e in cert.matching.edges)
             assert all(cert.hub in cyc for cyc in cert.cycles.values())
             check = verify_certificate(rt, cert)
             assert check and check.reasons == ()

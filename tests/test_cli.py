@@ -412,6 +412,53 @@ class TestCertifyAndAudit:
         assert report["certificate_ok"] is False
         assert report["reasons"]
 
+    def test_audit_verifies_the_certificate_once(self, tmp_path, monkeypatch):
+        """One verification per audit, in bag_lower_bound; the report bytes
+        and exit codes for a valid, a tampered and a contradicted
+        certificate are pinned."""
+        from tdforge import certificates, cli
+        from tdforge.errors import CertificateContradiction
+        calls = []
+        verify = certificates.verify_certificate
+
+        def counted(rt, cert):
+            calls.append(cert.hub)
+            return verify(rt, cert)
+
+        for module in (certificates, cli):
+            monkeypatch.setattr(module, "verify_certificate", counted)
+        write_level2_host()
+        write_level2_anchored_td()
+        main(["certify", "--r", "2", "--spanning-tree", "host.json",
+              "--out", "cert.json"])
+        obj = load_json("cert.json")
+        obj["hub"] = "v"
+        dump_json(obj, "bad.json")
+
+        def audit(cert, code, expected):
+            calls.clear()
+            assert main(["audit", "--certificate", cert, "--td", "atd.json",
+                         "--out", "report.json"]) == code
+            assert (tmp_path / "report.json").read_bytes() == \
+                (json.dumps(expected, indent=2) + "\n").encode()
+
+        audit("cert.json", 0, {
+            "certificate_ok": True, "reasons": [], "bound_holds": True,
+            "hub": "R.u", "forced": ["u"], "hub_bag": ["R.u", "u", "v"],
+            "bag_size_lower_bound": 1})
+        assert calls == ["R.u"]
+        audit("bad.json", 1, {
+            "certificate_ok": False,
+            "reasons": ["hub is not an endpoint of the witness edge"]})
+        assert calls == ["v"]
+
+        def contradicted(rt, cert, td):
+            raise CertificateContradiction("forced")
+
+        monkeypatch.setattr(cli, "bag_lower_bound", contradicted)
+        audit("cert.json", 1, {"certificate_ok": True, "reasons": [],
+                               "bound_holds": False, "contradiction": "forced"})
+
     def test_certify_all_level2(self, capsys):
         assert main(["certify", "--r", "2", "--all"]) == 0
         obj = json.loads(capsys.readouterr().out)
@@ -541,6 +588,20 @@ class TestSearchCommands:
         assert main(["search", "spanning", "--graph", "g.json",
                      "--config", "caps.cfg"]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_non_integer_config_cap_names_its_line(self, tmp_path, capsys):
+        (tmp_path / "caps.cfg").write_text("# caps\ncap_vertices = abc\n")
+        assert main(["construct", "reflected-tree", "--r", "3",
+                     "--config", "caps.cfg"]) == 2
+        assert capsys.readouterr().err == (
+            "error: caps.cfg:2: cap_vertices must be an integer, got 'abc'\n")
+
+    def test_non_integer_env_cap_names_the_variable(self, monkeypatch,
+                                                     capsys):
+        monkeypatch.setenv("TDFORGE_CAP_VERTICES", "ten")
+        assert main(["construct", "reflected-tree", "--r", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: TDFORGE_CAP_VERTICES must be an integer, got 'ten'\n")
 
     def test_config_key_the_leaf_does_not_apply(self, tmp_path, capsys):
         """A known cap that the leaf does not apply is a usage error naming

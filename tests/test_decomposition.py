@@ -1,17 +1,15 @@
-"""Decomposition type, validator, subtree view, anchoring, classification."""
+"""Decomposition type, validator, subtree view, anchoring."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdforge.constructions import attach_gadgets, toy_schedule
 from tdforge.decomposition import (
     DISCONNECTED_SUBTREE,
     EMPTY_SUBTREE,
     UNCOVERED_EDGE,
     TreeDecomposition,
-    classify_vertices,
     is_anchored,
     validate,
 )
@@ -40,8 +38,6 @@ class TestTreeDecomposition:
         assert td.width() == 2
         assert td.bag("c03") == {"c03"}
         assert td.bags["c00"] == {"c00", "c01", "c03"}
-        assert td.subtree_of("c03") == {"c00", "c01", "c02", "c03"}
-        assert td.subtree_of("c00") == {"c00"}
         assert td.decomposed_vertices() == g.vertex_set
 
     def test_missing_bags_become_empty(self):
@@ -113,7 +109,8 @@ class TestFromSubtrees:
 
     def test_round_trip(self):
         g, td = square_on_path()
-        assignment = {v: td.subtree_of(v) for v in g.vertices}
+        assignment = {v: {x for x, b in td.bags.items() if v in b}
+                      for v in g.vertices}
         assert from_subtrees(td.host, assignment) == td
 
     def test_rejections(self):
@@ -194,49 +191,3 @@ class TestIsAnchored:
                           and all(x in d.bag(x) for x in g.vertices))
             assert report
             assert report.anchored == is_anchored(g, d) == definition
-
-
-class TestClassifyVertices:
-    def test_tiny_instance(self):
-        base = Graph(["a0", "a1"], [("a0", "a1")])
-        inst = attach_gadgets(base, None, toy_schedule(1, 2, [1, 1], [1, 1]))
-        assert inst.gadgets["a0"] == {"a0#0"}
-        g = inst.graph
-        # host: the instance graph is a tree here, host it on itself
-        bags = {
-            "a0": {"a0", "a0#0"},
-            "a1": {"a0", "a1", "a1#0"},
-            "a0#0": {"a0#0"},
-            "a1#0": {"a1#0"},
-        }
-        td = TreeDecomposition(g, bags)
-        assert validate(g, td)
-        cls = classify_vertices(inst, td)
-        # every subtree here touches a base node, so nothing is constrained
-        assert cls.free == {"a0", "a1", "a0#0", "a1#0"}
-        assert cls.constrained == frozenset()
-        assert cls.grounded == {"a0", "a1"}
-        assert cls.ungrounded == frozenset()
-
-    def test_constrained_vertex(self):
-        base = Graph(["a0"], [])
-        inst = attach_gadgets(base, None, toy_schedule(1, 1, [1], [2]))
-        g = inst.graph  # star: a0 with leaves a0#0, a0#1
-        bags = {
-            "a0": {"a0"},
-            "a0#0": {"a0", "a0#0"},
-            "a0#1": {"a0", "a0#1"},
-        }
-        td = TreeDecomposition(g, bags)
-        assert validate(g, td)
-        cls = classify_vertices(inst, td)
-        # a0's subtree is {a0}: meets the base, so free and grounded
-        assert "a0" in cls.free and "a0" in cls.grounded
-        # the leaves live only on gadget nodes: constrained
-        assert cls.constrained == {"a0#0", "a0#1"}
-
-    def test_invalid_input_raises(self):
-        base = Graph(["a0"], [])
-        inst = attach_gadgets(base, None, toy_schedule(1, 1, [1], [1]))
-        with pytest.raises(ValueError):
-            classify_vertices(inst, TreeDecomposition(inst.graph, {}))

@@ -24,18 +24,17 @@ from tdforge.search import (
     SAT,
     SEARCH,
     UNSAT,
-    check_longpath_property,
     count_spanning_trees,
     decide_over_trees,
     enumerate_spanning_trees,
     exact_treewidth,
-    longpath_threshold,
     min_anchored_spanning_width,
     min_width_on_tree,
     minor_min_width,
     sample_spanning_trees,
 )
-from generators import oracle_corpus, random_connected_graph, random_tree
+from generators import (check_longpath_property, oracle_corpus,
+                        random_connected_graph, random_tree)
 from oracles import (bfs_path, brute_count_spanning_trees, brute_treewidth,
                      choice_spanning_tree, flood_reach, naive_decide,
                      naive_threshold, path_edges, sample_spanning_tree)
@@ -738,15 +737,6 @@ class TestExactTreewidth:
 
 
 class TestLongPaths:
-    def test_threshold_values(self):
-        assert longpath_threshold(1, 2) == 9
-        assert longpath_threshold(1, 4) == 81
-        assert longpath_threshold(2, 1) == 4
-        with pytest.raises(ValueError):
-            longpath_threshold(0, 2)
-        with pytest.raises(ValueError):
-            longpath_threshold(1, 0)
-
     def test_path_on_itself_satisfies_the_bound(self):
         n = 9
         g = path_graph(n)
