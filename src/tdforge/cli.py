@@ -175,7 +175,14 @@ def _load_td(run: Run, path: str):
 
 
 def _int_list(text: str, n: int, what: str) -> List[int]:
-    parts = [int(p) for p in text.split(",") if p.strip() != ""]
+    parts = []
+    for p in text.split(","):
+        if p.strip() != "":
+            try:
+                parts.append(int(p))
+            except ValueError:
+                raise ValueError(f"{what} needs comma-separated integers, "
+                                 f"got {p.strip()!r}") from None
     if len(parts) == 1:
         return parts * n
     if len(parts) != n:

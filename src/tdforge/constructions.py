@@ -162,6 +162,21 @@ class GadgetSchedule:
             if s != ary_tree_size(w, h):
                 raise ValueError("tree_sizes inconsistent with heights and widths")
 
+    @classmethod
+    def _trusted(cls, k: int, n: int, heights: Tuple[int, ...],
+                 widths: Tuple[int, ...], tree_sizes: Tuple[int, ...],
+                 genuine: bool) -> "GadgetSchedule":
+        """The schedule from these fields, unchecked: the caller has just
+        computed each tree size with ary_tree_size from heights and widths
+        that pass __post_init__'s checks, which would compute every size
+        again."""
+        schedule = cls.__new__(cls)
+        for name, value in (("k", k), ("n", n), ("heights", heights),
+                            ("widths", widths), ("tree_sizes", tree_sizes),
+                            ("genuine", genuine)):
+            object.__setattr__(schedule, name, value)
+        return schedule
+
     def attachment_total(self, base_order: int) -> int:
         """Vertices of the attached graph over a base with base_order vertices."""
         return base_order + sum(s - 1 for s in self.tree_sizes)
@@ -188,7 +203,10 @@ def gadget_schedule(k: int, n: int) -> GadgetSchedule:
         widths[j - 1] = (k + 1) * (n + tail) + 1
         sizes[j - 1] = ary_tree_size(widths[j - 1], heights[j - 1])
         tail += sizes[j - 1]
-    return GadgetSchedule(k, n, tuple(heights), tuple(widths), tuple(sizes), True)
+    # k, n >= 1, heights >= 2 and widths >= 1 here, and ary_tree_size made
+    # every size
+    return GadgetSchedule._trusted(k, n, tuple(heights), tuple(widths),
+                                   tuple(sizes), True)
 
 
 def toy_schedule(k: int, n: int, heights: Sequence[int],

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
-from .graphs import Graph, Vertex, connected_in, is_tree
+from .graphs import Graph, Vertex, is_tree
 
 EMPTY_SUBTREE = "empty-subtree"
 DISCONNECTED_SUBTREE = "disconnected-subtree"
@@ -55,10 +55,11 @@ class TreeDecomposition:
     decomposition checks it again. Every host node gets a bag entry
     (missing entries become empty bags).
     Whether the bags satisfy the decomposition conditions for a particular
-    graph is checked by validate, not here.
+    graph is checked by validate, not here; the decomposition keeps
+    validate's last report and the graph it was for.
     """
 
-    __slots__ = ("_host", "_bags")
+    __slots__ = ("_host", "_bags", "_checked")
 
     def __init__(self, host: Graph, bags: Mapping[Vertex, Iterable[Vertex]]):
         if not is_tree(host):
@@ -68,6 +69,7 @@ class TreeDecomposition:
             raise ValueError(f"bags keyed by non-host nodes: {sorted(stray)!r}")
         self._host = host
         self._bags = {x: frozenset(bags.get(x, ())) for x in host.vertices}
+        self._checked = None  # (graph, its report), kept by validate
 
     @property
     def host(self) -> Graph:
@@ -100,42 +102,67 @@ class TreeDecomposition:
                 f"width {self.width()})")
 
 
-def _subtree_map(td: TreeDecomposition) -> Dict[Vertex, set]:
-    out: Dict[Vertex, set] = {}
-    for x, b in td.bags.items():
-        for v in b:
-            out.setdefault(v, set()).add(x)
-    return out
-
-
 def validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
     """Check the decomposition conditions of td against g, and anchoring.
 
     Reports one violation per broken condition: a vertex with an empty or
-    disconnected subtree, or an edge whose endpoint subtrees are disjoint.
-    A valid td is anchored when its host has vertex set V(g) and edges in
-    E(g) (it is a tree by construction, so then a spanning tree of g) and
-    every vertex lies in its own subtree.
+    disconnected subtree (vertices in g.vertices order), then each edge
+    whose endpoint subtrees are disjoint (edges sorted). A valid td is
+    anchored when its host has vertex set V(g) and edges in E(g) (it is a
+    tree by construction, so then a spanning tree of g) and every vertex
+    lies in its own subtree.
+
+    Connectivity is counted, not searched. The host is a tree, so the host
+    nodes whose bags hold v induce a forest, and a forest has as many
+    components as nodes minus edges: v's subtree is connected iff it has
+    one inside edge fewer than nodes. One pass over the host edges counts,
+    for each v in bag(x) & bag(y), the inside edge xy.
+
+    td keeps its last report with the graph object it was checked against,
+    so validate and is_anchored on the same g and td check once. A call
+    that raises keeps nothing.
     """
-    stray = td.decomposed_vertices() - g.vertex_set
-    if stray:
-        raise ValueError(f"bags mention non-vertices of g: {sorted(stray)!r}")
-    subtrees = _subtree_map(td)
+    checked = td._checked
+    if checked is not None and checked[0] is g:
+        return checked[1]
+    report = _check(g, td)
+    td._checked = (g, report)
+    return report
+
+
+def _check(g: Graph, td: TreeDecomposition) -> ValidationReport:
+    """validate without the kept report."""
+    bags = td._bags
+    host = td._host
+    # each vertex's subtree as a bitmask over host.vertices
+    nodes = dict.fromkeys(g.vertices, 0)
+    bit = 1
+    try:
+        for x in host.vertices:
+            for v in bags[x]:
+                nodes[v] |= bit
+            bit <<= 1
+    except KeyError:
+        stray = td.decomposed_vertices() - g.vertex_set
+        raise ValueError(
+            f"bags mention non-vertices of g: {sorted(stray)!r}") from None
+    inside = dict.fromkeys(g.vertices, 0)  # edges with both ends in v's subtree
+    for x, y in host.edges:
+        for v in bags[x] & bags[y]:
+            inside[v] += 1
     violations = []
-    for v in g.vertices:
-        nodes = subtrees.get(v)
-        if not nodes:
+    for v, mask in nodes.items():
+        if not mask:
             violations.append(Violation(EMPTY_SUBTREE, v))
-        elif not connected_in(td.host, nodes):
+        elif inside[v] + 1 != mask.bit_count():
             violations.append(Violation(DISCONNECTED_SUBTREE, v))
-    for e in sorted(g.edges):
-        u, v = e
-        if not (subtrees.get(u, set()) & subtrees.get(v, set())):
-            violations.append(Violation(UNCOVERED_EDGE, e))
-    host = td.host
+    uncovered = [e for e in g.edges if not nodes[e[0]] & nodes[e[1]]]
+    if uncovered:
+        violations.extend(Violation(UNCOVERED_EDGE, e)
+                          for e in sorted(uncovered))
     anchored = (not violations and host.vertex_set == g.vertex_set
                 and host.edges <= g.edges
-                and all(v in subtrees[v] for v in g.vertices))
+                and all(v in bags[v] for v in g.vertices))
     return ValidationReport(not violations, tuple(violations), anchored)
 
 

@@ -327,6 +327,25 @@ class HostTree:
                     order.append(y)
         return row
 
+    def _row_into(self, rows: List, j: int) -> List[int]:
+        """path_row(j), stored in rows[j]. When rows already holds the row
+        of a tree neighbour p of j, row j is read off it: the path from x
+        to p passes through j iff x is on j's side of the edge jp, and then
+        the path to j is that path less p; otherwise it is that path plus
+        j."""
+        nbrs = self._nbrs
+        if nbrs is not None:
+            bit = 1 << j
+            for p in nbrs[j]:
+                near = rows[p]
+                if near is not None:
+                    pbit = 1 << p
+                    row = rows[j] = [y ^ pbit if y & bit else y | bit
+                                     for y in near]
+                    return row
+        row = rows[j] = self.path_row(j)
+        return row
+
     def cycle(self, e) -> Cycle:
         """The unique cycle closed by the non-tree edge e of g."""
         u, v = edge(*e)

@@ -248,20 +248,43 @@ def minor_min_width(g: Graph) -> int:
     is minor-monotone; and a decomposition on any host, anchored or not,
     is a tree decomposition of g. So budget < minor_min_width(g) is UNSAT.
     """
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    verts, index = g.indexed()
+    # neighbours as bitmasks over the sorted index, so the lower index is
+    # the smaller name and ties go to it
+    adj = [0] * len(verts)
+    for a, b in g.edges:
+        i, j = index[a], index[b]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    deg = [m.bit_count() for m in adj]
+    left = list(range(len(verts)))
     best = 0
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        nbrs = adj.pop(v)
-        best = max(best, len(nbrs))
+    while left:
+        v = min(left, key=deg.__getitem__)
+        left.remove(v)
+        nbrs = adj[v]
+        if deg[v] > best:
+            best = deg[v]
         if not nbrs:
             continue
-        u = min(nbrs, key=lambda x: (len(adj[x]), x))
-        for w in nbrs:
-            adj[w].discard(v)
-            if w != u:
-                adj[w].add(u)
-                adj[u].add(w)
+        u = -1
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            if u < 0 or deg[w] < deg[u]:
+                u = w
+        vbit, ubit = 1 << v, 1 << u
+        rest = nbrs ^ ubit
+        adj[u] = adj[u] ^ vbit | rest
+        deg[u] = adj[u].bit_count()
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            adj[w] = adj[w] ^ vbit | ubit
+            deg[w] = adj[w].bit_count()
     return best
 
 
@@ -368,7 +391,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
     # rows[r]: the host paths to node r, built the first time r is the
     # lowest node of a subtree; growth and candidates are read from them.
     rows: List[Optional[List[int]]] = [None] * n
-    path_row = tree.path_row
+    row_into = tree._row_into
 
     # The host spans g, so g is connected and the search gives a subtree to
     # every vertex with an edge. An anchored vertex starts in its own node,
@@ -399,7 +422,7 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
                 r = (sa & -sa).bit_length() - 1
                 row = rows[r]
                 if row is None:
-                    row = rows[r] = path_row(r)
+                    row = row_into(rows, r)
                 path = row[(sb & -sb).bit_length() - 1]
                 # both rules need a full node on the path
                 if path & fulls:
@@ -413,9 +436,14 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
         return True
 
     def finish() -> TreeDecomposition:
-        td = TreeDecomposition(host, {x: [v for v, s in zip(verts, sub)
-                                          if s >> j & 1]
-                                      for j, x in enumerate(verts)})
+        bags: List[List] = [[] for _ in verts]
+        for v, s in zip(verts, sub):
+            while s:
+                low = s & -s
+                bags[low.bit_length() - 1].append(v)
+                s ^= low
+        td = TreeDecomposition(host, dict(zip(verts, bags)))
+        # kept by td, so a caller's validate or is_anchored reads it
         report = validate(g, td)
         assert report and td.width() <= budget
         assert report.anchored or not anchored
@@ -433,12 +461,12 @@ def _decide(tree: HostTree, budget: int, anchored: bool,
             r = (sa & -sa).bit_length() - 1
             row_a = rows[r]
             if row_a is None:
-                row_a = rows[r] = path_row(r)
+                row_a = row_into(rows, r)
         if sb:
             r = (sb & -sb).bit_length() - 1
             row_b = rows[r]
             if row_b is None:
-                row_b = rows[r] = path_row(r)
+                row_b = row_into(rows, r)
         fulls, tight = levels[cap], levels[cap - 1]
         xs = full ^ fulls
         while xs:

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Tuple
 
 from .constructions import GadgetInstance
 from .decomposition import (TreeDecomposition, ValidationReport, Violation,
                             validate)
 from .errors import HostNotSpanning, ReductionInvalid
-from .graphs import (Graph, Vertex, Edge, component_in, connected_in, edge,
+from .graphs import (Graph, Vertex, Edge, component_in, edge,
                      is_connected, is_spanning_tree, is_tree)
 
 PATTERN_NOT_TREE = "pattern-not-tree"
 BRANCH_MISSING = "branch-set-missing"
+BRANCH_UNKNOWN = "branch-set-outside-pattern"
 BRANCH_EMPTY = "branch-set-empty"
 BRANCH_STRAY = "branch-set-outside-graph"
 BRANCH_OVERLAP = "branch-sets-overlap"
@@ -58,7 +59,16 @@ class MinorModel:
 
 def validate_model(m: MinorModel) -> ValidationReport:
     """Report every violated model invariant (empty report means valid)."""
+    return _check_model(m)[0]
+
+
+def _check_model(m: MinorModel) -> Tuple[ValidationReport,
+                                         Dict[Vertex, Dict[Vertex, Vertex]]]:
+    """validate_model's report, and the breadth-first search of each
+    connected branch set q from min(q) (component_in's predecessor map)
+    that found it connected."""
     violations = []
+    searches = {}
     if not is_tree(m.pattern):
         violations.append(Violation(PATTERN_NOT_TREE, None))
     for x in m.pattern.vertices:
@@ -67,6 +77,9 @@ def validate_model(m: MinorModel) -> ValidationReport:
     seen: Dict[Vertex, Vertex] = {}
     for x in sorted(m.branch_sets):
         q = m.branch_sets[x]
+        if x not in m.pattern:
+            violations.append(Violation(BRANCH_UNKNOWN, x))
+            continue
         if not q:
             violations.append(Violation(BRANCH_EMPTY, x))
             continue
@@ -78,7 +91,10 @@ def validate_model(m: MinorModel) -> ValidationReport:
             if v in seen:
                 violations.append(Violation(BRANCH_OVERLAP, (seen[v], x, v)))
             seen[v] = x
-        if not connected_in(m.graph, q):
+        search = component_in(m.graph, q, min(q))
+        if len(search) == len(q):
+            searches[x] = search
+        else:
             violations.append(Violation(BRANCH_DISCONNECTED, x))
     for xy in sorted(m.pattern.edges):
         x, y = xy
@@ -91,7 +107,7 @@ def validate_model(m: MinorModel) -> ValidationReport:
         endpoints_ok = ((e[0] in qx and e[1] in qy) or (e[0] in qy and e[1] in qx))
         if e not in m.graph.edges or not endpoints_ok:
             violations.append(Violation(WITNESS_BAD, (xy, e)))
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(not violations, tuple(violations)), searches
 
 
 def complete_model(m: MinorModel) -> MinorModel:
@@ -146,32 +162,37 @@ def minor_to_spanning(g: Graph, td: TreeDecomposition, m: MinorModel
     each graph vertex inherits the bag of its branch's pattern vertex. Width
     is preserved exactly.
     """
-    report = validate_model(m)
+    report, searches = _check_model(m)
     if not report:
         raise ValueError(f"model is invalid: {report}")
     if m.graph != g:
         raise ValueError("model is not a model in g")
-    if not is_connected(g):
+    # a valid covering model joins connected branch sets along a tree by
+    # edges of g, so g is connected; completion needs the check
+    covering = m.is_covering()
+    if not covering and not is_connected(g):
         raise ValueError("need a connected graph")
     if td.host != m.pattern:
         raise ValueError("decomposition host differs from the model's pattern tree")
     td_report = validate(g, td)
     if not td_report:
         raise ValueError(f"input decomposition invalid: {td_report}")
-    if not m.is_covering():
+    if not covering:
         m = _complete(m)
+        searches = {x: component_in(g, q, min(q))
+                    for x, q in m.branch_sets.items()}
     host_edges = []
     branch_of: Dict[Vertex, Vertex] = {}
     for x in sorted(m.branch_sets):
-        q = m.branch_sets[x]
-        host_edges.extend(edge(v, w) for w, v in
-                          component_in(g, q, min(q)).items() if w != v)
-        for v in q:
+        host_edges.extend(edge(v, w) for w, v in searches[x].items() if w != v)
+        for v in m.branch_sets[x]:
             branch_of[v] = x
     host_edges.extend(m.edge_map[xy] for xy in m.pattern.edges)
     bags = {w: td.bag(branch_of[w]) for w in g.vertices}
-    # on V(g) with edges of g, so the tree check here makes it spanning
-    out = TreeDecomposition(Graph(g.vertices, host_edges), bags)
+    # canonical edges of g: edge() makes the search's, MinorModel the
+    # witnesses' and validate_model checks those are in g. On V(g), so the
+    # tree check in TreeDecomposition makes the host a spanning tree.
+    out = TreeDecomposition(g._spanning_subgraph(host_edges), bags)
     out_report = validate(g, out)
     assert out_report, f"rehosted decomposition invalid: {out_report}"
     assert out.width() == td.width()

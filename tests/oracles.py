@@ -2,11 +2,13 @@
 
 Everything here trades speed for obviousness: subtree-product search over
 explicitly enumerated candidates, a flood for the decider's candidates,
-subset enumeration for counting, and permutation search for treewidth,
+subset enumeration for counting, permutation search for treewidth and
+name-keyed sets for its minor-min-width bound,
 rng.choice for the spanning-tree walk, relabelling for the reflected
 tree, a level-by-level breadth-first search for components, the
-connectivity and spanning-tree predicates built on it, and name-set
-recursion over that search for the certificate. from_subtrees
+connectivity and spanning-tree predicates built on it, a validator that
+searches every subtree with it, and name-set recursion over that search
+for the certificate. from_subtrees
 builds a decomposition from explicit subtrees, checking each one with
 that search; the naive decider builds its candidates with it, and tests
 use it to write decompositions by their subtrees. None of it shares code
@@ -21,7 +23,10 @@ import random
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from tdforge.constructions import ReflectedTree
-from tdforge.decomposition import TreeDecomposition, is_anchored, validate
+from tdforge.decomposition import (DISCONNECTED_SUBTREE, EMPTY_SUBTREE,
+                                   UNCOVERED_EDGE, TreeDecomposition,
+                                   ValidationReport, Violation, is_anchored,
+                                   validate)
 from tdforge.errors import StructureViolation
 from tdforge.graphs import Edge, Graph, Vertex, edge
 from tdforge.search import _wilson
@@ -205,6 +210,31 @@ def spans_as_tree(g: Graph, t: Graph) -> bool:
             and len(t.edges) == len(t) - 1 and bfs_connected(t))
 
 
+def bfs_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
+    """The report validate gives, built from the definitions: each
+    vertex's subtree is listed bag by bag and searched with bfs_component,
+    each edge's endpoint subtrees are intersected, and anchoring is
+    spans_as_tree plus every vertex in its own bag."""
+    bags = td.bags
+    stray = set().union(*bags.values()) - g.vertex_set
+    if stray:
+        raise ValueError(f"bags mention non-vertices of g: {sorted(stray)!r}")
+    subtrees = {v: {x for x, b in bags.items() if v in b} for v in g.vertices}
+    violations = []
+    for v in g.vertices:
+        nodes = subtrees[v]
+        if not nodes:
+            violations.append(Violation(EMPTY_SUBTREE, v))
+        elif len(bfs_component(td.host, nodes, min(nodes))) != len(nodes):
+            violations.append(Violation(DISCONNECTED_SUBTREE, v))
+    for e in sorted(g.edges):
+        if not subtrees[e[0]] & subtrees[e[1]]:
+            violations.append(Violation(UNCOVERED_EDGE, e))
+    anchored = (not violations and spans_as_tree(g, td.host)
+                and all(v in bags[v] for v in g.vertices))
+    return ValidationReport(not violations, tuple(violations), anchored)
+
+
 def from_subtrees(host: Graph, assignment: Mapping[Vertex, Iterable[Vertex]]
                   ) -> TreeDecomposition:
     """The decomposition on host whose subtrees are exactly the given sets.
@@ -257,6 +287,27 @@ def brute_count_spanning_trees(g: Graph) -> int:
     n = len(g)
     return sum(1 for comb in itertools.combinations(sorted(g.edges), n - 1)
                if spans_as_tree(g, Graph(g.vertices, comb)))
+
+
+def minor_min_width_by_sets(g: Graph) -> int:
+    """minor_min_width on name-keyed neighbour sets: contract a vertex of
+    least degree into its neighbour of least degree, ties to the smaller
+    name, and keep the largest least degree seen."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    best = 0
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        nbrs = adj.pop(v)
+        best = max(best, len(nbrs))
+        if not nbrs:
+            continue
+        u = min(nbrs, key=lambda x: (len(adj[x]), x))
+        for w in nbrs:
+            adj[w].discard(v)
+            if w != u:
+                adj[w].add(u)
+                adj[u].add(w)
+    return best
 
 
 def brute_treewidth(g: Graph) -> int:

@@ -778,18 +778,21 @@ class TestMalformedInput:
                               capture_output=True, text=True, env=env,
                               timeout=60)
 
-    def assert_usage_error(self, *argv):
+    def assert_usage_error(self, *argv) -> str:
+        """The one error line of argv's run."""
         proc = self.run_cli(*argv)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+        return proc.stderr
 
-    def assert_usage_error_with_manifest(self, *argv):
-        self.assert_usage_error(*argv, "--out", "o.json")
+    def assert_usage_error_with_manifest(self, *argv) -> str:
+        err = self.assert_usage_error(*argv, "--out", "o.json")
         manifest = load_json("o.json.manifest.json")
         assert (manifest["exit_code"], manifest["error"]) == (2, "ValueError")
         assert not os.path.exists("o.json")
+        return err
 
     def test_bad_shapes_exit_2_without_traceback(self):
         dump_json({"vertices": [1, "a"], "edges": [[1, "a"]]}, "ids.json")
@@ -834,6 +837,20 @@ class TestMalformedInput:
         self.assert_usage_error_with_manifest(
             "transform", "minor-to-spanning", "--graph", "g.json",
             "--td", "td.json", "--model", "model.json")
+
+    def test_pipeline_non_integer_toy_height_names_its_flag(self):
+        err = self.assert_usage_error_with_manifest(
+            "pipeline", "--k", "1", "--toy-heights", "a")
+        assert err == ("error: --toy-heights needs comma-separated "
+                       "integers, got 'a'\n")
+
+    def test_gadget_non_integer_toy_width_names_its_flag(self):
+        write_graph(path_graph(2), "p2.json")
+        err = self.assert_usage_error_with_manifest(
+            "construct", "gadget", "--k", "1", "--graph", "p2.json",
+            "--toy-heights", "1", "--toy-widths", "2, x2")
+        assert err == ("error: --toy-widths needs comma-separated "
+                       "integers, got 'x2'\n")
 
     def huge_inputs(self, big):
         """Argument lists whose level or toy height is big, with P2 and a

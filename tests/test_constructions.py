@@ -175,6 +175,24 @@ class TestSchedules:
         with pytest.raises(ScheduleTooLarge):
             gadget_schedule(2, 3)
 
+    def test_genuine_schedule_computes_each_size_once(self, monkeypatch):
+        """gadget_schedule takes each tree's size from ary_tree_size once,
+        and the schedule it builds unchecked passes the full check."""
+        from tdforge import constructions
+        calls = []
+
+        def counted(width, height, real=constructions.ary_tree_size):
+            calls.append((width, height))
+            return real(width, height)
+
+        monkeypatch.setattr(constructions, "ary_tree_size", counted)
+        s = gadget_schedule(3, 2)
+        monkeypatch.undo()
+        assert calls == [(s.widths[1], s.heights[1]),
+                         (s.widths[0], s.heights[0])]
+        assert GadgetSchedule(s.k, s.n, s.heights, s.widths, s.tree_sizes,
+                              s.genuine) == s
+
     def test_toy_schedule(self):
         s = toy_schedule(1, 2, [1, 2], [2, 2])
         assert not s.genuine

@@ -13,10 +13,12 @@ from tdforge.decomposition import (
     is_anchored,
     validate,
 )
+from tdforge import decomposition
 from tdforge.graphs import Graph, cycle_graph, is_spanning_tree, path_graph
+from tdforge.search import min_width_on_tree
 from tdforge.transforms import minor_to_spanning
 from generators import random_model_and_td, random_spanning_tree, random_tree
-from oracles import bfs_path, from_subtrees
+from oracles import bfs_path, bfs_validate, from_subtrees
 
 
 def square_on_path():
@@ -101,6 +103,105 @@ class TestValidate:
         for _ in range(25):
             g, td, _ = random_model_and_td(rng)
             assert validate(g, td)
+
+
+def corrupted(rng: random.Random, g: Graph, td: TreeDecomposition
+              ) -> TreeDecomposition:
+    """td with one to three bag entries dropped or added; an added entry
+    lands on a host node away from the vertex's subtree half the time, so
+    that subtree comes apart."""
+    bags = td.bags
+    hosts = list(td.host.vertices)
+    for _ in range(rng.randint(1, 3)):
+        v = rng.choice(g.vertices)
+        holding = [x for x in hosts if v in bags[x]]
+        roll = rng.random()
+        if holding and roll < 0.4:
+            x = rng.choice(holding)
+            bags[x] = bags[x] - {v}
+        else:
+            near = {y for x in holding for y in td.host.neighbors(x)}
+            away = [x for x in hosts if x not in near and x not in holding]
+            x = rng.choice(away if away and roll < 0.7 else hosts)
+            bags[x] = bags[x] | {v}
+    return TreeDecomposition(td.host, bags)
+
+
+class TestCountingMatchesSearch:
+    """validate counts inside edges where the oracle searches; the whole
+    report, violations in order and anchoring, must agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_reports_agree(self, seed):
+        rng = random.Random(seed)
+        g, td, model = random_model_and_td(rng)
+        rehosted = minor_to_spanning(g, td, model)
+        # every vertex in its own bag: the path from it to another vertex
+        ends = rng.sample(g.vertices, len(g))
+        own = from_subtrees(rehosted.host, {
+            v: bfs_path(rehosted.host, v, end)
+            for v, end in zip(g.vertices, ends)})
+        tds = [td, rehosted, own]
+        tds += [corrupted(rng, g, d) for d in tds for _ in range(3)]
+        for d in tds:
+            assert validate(g, d) == bfs_validate(g, d)
+
+    def test_corruptions_reach_every_kind(self):
+        rng = random.Random(5)
+        kinds = set()
+        anchored = set()
+        for _ in range(40):
+            g, td, model = random_model_and_td(rng)
+            rehosted = minor_to_spanning(g, td, model)
+            anchored.add(validate(g, rehosted).anchored)
+            for d in (td, rehosted):
+                kinds |= {v.kind for v in
+                          validate(g, corrupted(rng, g, d)).violations}
+        assert kinds == {EMPTY_SUBTREE, DISCONNECTED_SUBTREE, UNCOVERED_EDGE}
+        assert anchored == {True, False}
+
+
+class TestValidatedOnce:
+    """A decomposition keeps its report for the graph object it was
+    checked against."""
+
+    def count_checks(self, monkeypatch):
+        calls = []
+
+        def counted(g, td, real=decomposition._check):
+            calls.append(td)
+            return real(g, td)
+
+        monkeypatch.setattr(decomposition, "_check", counted)
+        return calls
+
+    def test_decider_witness_is_checked_once(self, monkeypatch):
+        """The decider's self-check is the one check that validate and
+        is_anchored then read; an equal but distinct graph is checked
+        again."""
+        g, td = square_on_path()
+        calls = self.count_checks(monkeypatch)
+        res = min_width_on_tree(g, td.host, 2, anchored=True)
+        assert res.is_sat and len(calls) == 1
+        report = validate(g, res.witness)
+        assert report and is_anchored(g, res.witness)
+        assert calls == [res.witness]
+        twin = Graph(g.vertices, g.edges)
+        assert validate(twin, res.witness) == report
+        assert len(calls) == 2
+
+    def test_a_refused_call_keeps_nothing(self, monkeypatch):
+        host = path_graph(2)
+        td = TreeDecomposition(host, {"p00": {"z"}})
+        g = path_graph(2, prefix="q")
+        calls = self.count_checks(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                validate(g, td)
+        with pytest.raises(ValueError):
+            is_anchored(g, td)
+        assert len(calls) == 3
 
 
 class TestFromSubtrees:

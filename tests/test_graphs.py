@@ -21,6 +21,7 @@ from tdforge.graphs import (
     is_tree,
     path_graph,
 )
+from tdforge.search import sample_spanning_trees
 from generators import (random_connected_graph, random_spanning_tree,
                         random_tree, tree_diameter)
 from oracles import (bfs_component, bfs_path, enumerate_induced_subtrees,
@@ -188,6 +189,23 @@ class TestFundamentalCycle:
         assert cyc.vertices == c.vertex_set
         assert cyc.edges == c.edges
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=9),
+           st.integers(min_value=0, max_value=2 ** 31))
+    def test_rows_read_off_a_neighbours_row(self, n, seed):
+        """_row_into fills rows in any order, reading a row off a tree
+        neighbour's where it can, and every row is path_row's; on a
+        checked tree and on one drawn by the sampler, whose neighbour
+        lists wait for the first row."""
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n, 0.5)
+        for host in (HostTree(g, random_spanning_tree(rng, g)),
+                     next(sample_spanning_trees(g, 1, seed))):
+            rows = [None] * n
+            for j in rng.sample(range(n), n):
+                assert host._row_into(rows, j) is rows[j]
+                assert rows[j] == host.path_row(j)
+
     def test_rejections(self):
         c = cycle_graph(4)
         t = Graph(c.vertices, [("c00", "c01"), ("c01", "c02"), ("c02", "c03")])
@@ -298,8 +316,7 @@ class TestSharedIndex:
         """Trees from _spanning_subgraph, the sampler and enumeration hold
         their graph's index object itself, so nothing is sorted again."""
         from tdforge.constructions import reflected_tree
-        from tdforge.search import (enumerate_spanning_trees,
-                                    sample_spanning_trees)
+        from tdforge.search import enumerate_spanning_trees
         g = reflected_tree(3).graph
         shared = g.indexed()
         assert g._spanning_subgraph(sorted(g.edges)[:1]).indexed() is shared

@@ -36,8 +36,9 @@ from tdforge.search import (
 from generators import (check_longpath_property, oracle_corpus,
                         random_connected_graph, random_tree)
 from oracles import (bfs_path, brute_count_spanning_trees, brute_treewidth,
-                     choice_spanning_tree, flood_reach, naive_decide,
-                     naive_threshold, path_edges, sample_spanning_tree)
+                     choice_spanning_tree, flood_reach, minor_min_width_by_sets,
+                     naive_decide, naive_threshold, path_edges,
+                     sample_spanning_tree)
 
 
 class TestEnumerateSpanningTrees:
@@ -705,6 +706,20 @@ class TestMinorMinWidth:
         pairs = itertools.combinations(vs, 2)
         g = Graph(vs, [e for e, keep in zip(pairs, picks) if keep])
         assert minor_min_width(g) <= brute_treewidth(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=2 ** 31),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_same_contractions_as_name_keyed_sets(self, n, seed, p):
+        """The bitmask contraction over the sorted index breaks ties as
+        the name-keyed one does; names are drawn so that vertex order is
+        not sorted order."""
+        rng = random.Random(seed)
+        vs = [f"v{i:03d}" for i in rng.sample(range(1000), n)]
+        g = Graph(vs, [e for e in itertools.combinations(vs, 2)
+                       if rng.random() < p])
+        assert minor_min_width(g) == minor_min_width_by_sets(g)
 
 
 class TestExactTreewidth:

@@ -20,6 +20,7 @@ from tdforge.transforms import (
     BRANCH_MISSING,
     BRANCH_OVERLAP,
     BRANCH_STRAY,
+    BRANCH_UNKNOWN,
     PATTERN_NOT_TREE,
     WITNESS_BAD,
     WITNESS_MISSING,
@@ -65,6 +66,7 @@ class TestValidateModel:
         assert BRANCH_MISSING in kinds({"x": ok_sets["x"]}, ok_map)
         assert BRANCH_EMPTY in kinds({**ok_sets, "y": set()}, ok_map)
         assert BRANCH_STRAY in kinds({**ok_sets, "y": {"zz"}}, ok_map)
+        assert kinds({**ok_sets, "z": {"c04"}}, ok_map) == {BRANCH_UNKNOWN}
         assert BRANCH_OVERLAP in kinds(
             {**ok_sets, "y": {"c02", "c03", "c04"}}, ok_map)
         assert BRANCH_DISCONNECTED in kinds(
@@ -139,13 +141,14 @@ class TestMinorToSpanning:
                              model.edge_map)
         want = minor_to_spanning(g, td, complete_model(partial))
         calls = []
-        for name in ("validate_model", "is_connected"):
+        for name in ("validate_model", "_check_model", "is_connected"):
             def counted(*args, name=name, real=getattr(transforms, name)):
                 calls.append(name)
                 return real(*args)
             monkeypatch.setattr(transforms, name, counted)
         out = minor_to_spanning(g, td, partial)
-        assert sorted(calls) == ["is_connected", "validate_model"]
+        # validate_model is _check_model's report alone
+        assert sorted(calls) == ["_check_model", "is_connected"]
         assert out.host == want.host
         assert out.bags == want.bags
         assert out.bag("c04") == td.bag("x")
@@ -162,6 +165,18 @@ class TestMinorToSpanning:
                                model.edge_map)
         with pytest.raises(ValueError):
             minor_to_spanning(g, td, bad_model)
+
+    def test_branch_set_outside_the_pattern_is_refused(self):
+        """A covering model makes its graph connected only if every branch
+        set belongs to a pattern vertex: here c02 sits in a branch set of
+        its own, keyed outside the pattern, on a disconnected graph."""
+        g = Graph(["c00", "c01", "c02"], [("c00", "c01")])
+        pattern = Graph(["x"], [])
+        model = MinorModel(g, pattern, {"x": {"c00", "c01"}, "z": {"c02"}},
+                           {})
+        td = TreeDecomposition(pattern, {"x": set(g.vertices)})
+        with pytest.raises(ValueError, match="branch-set-outside-pattern"):
+            minor_to_spanning(g, td, model)
 
     def test_seeded_suite(self):
         rng = random.Random(99)
