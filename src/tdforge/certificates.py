@@ -110,12 +110,15 @@ def _collect_matching(plan: MatchingPlan, host: HostTree) -> List[Edge]:
     crossings: List[Edge] = []
     level = plan._top
     while level.sides is not None:
-        inside = []
-        for side in level.sides:
-            au, av = side.attach
-            inside.append(len(tedges & side.copy_edges)
-                          + (au in tedges) + (av in tedges))
-        (left, right), (in_left, in_right) = level.sides, inside
+        # each side's tree edges inside its copy, counted once, and with
+        # its two attachment edges
+        left, right = level.sides
+        copy_left = len(tedges & left.copy_edges)
+        copy_right = len(tedges & right.copy_edges)
+        in_left = (copy_left + (left.attach[0] in tedges)
+                   + (left.attach[1] in tedges))
+        in_right = (copy_right + (right.attach[0] in tedges)
+                    + (right.attach[1] in tedges))
         conn_left = in_left == left.copy_order + 1
         conn_right = in_right == right.copy_order + 1
         if conn_left == conn_right:
@@ -124,9 +127,9 @@ def _collect_matching(plan: MatchingPlan, host: HostTree) -> List[Edge]:
                 f"root-augmented restriction, got left={conn_left} "
                 f"right={conn_right}")
         if conn_left:
-            connected, other, in_other = left, right, in_right
+            connected, in_copy, other, in_other = left, copy_left, right, in_right
         else:
-            connected, other, in_other = right, left, in_left
+            connected, in_copy, other, in_other = right, copy_right, left, in_left
         comps = other.copy_order + 2 - in_other
         if comps != 2:
             raise StructureViolation(
@@ -148,7 +151,7 @@ def _collect_matching(plan: MatchingPlan, host: HostTree) -> List[Edge]:
                 f"level {level.level}: no non-tree edge reconnects the "
                 "disconnected side")
         # the copy alone: a connected restriction is a spanning tree of it
-        if len(tedges & connected.copy_edges) != connected.copy_order - 1:
+        if in_copy != connected.copy_order - 1:
             raise StructureViolation(
                 f"level {level.level}: connected copy restriction is not a "
                 "spanning tree")
@@ -226,13 +229,22 @@ class CertificateCheck:
 
 
 def verify_certificate(rt: ReflectedTree, cert: WidthCertificate) -> CertificateCheck:
-    """Recheck every certificate invariant from scratch.
+    """Recheck every certificate claim, a second route beside
+    reflected_matching's plan.
 
-    The host is checked again by a HostTree of its own (over the graph's
-    shared index), and cycles and the u-v path are named edge sets: a
-    second route beside reflected_matching's plan. Returns a falsy report
-    with reasons instead of raising, so tampered certificates are
-    diagnosed rather than rejected with an exception.
+    The host is checked again by a HostTree of its own, which re-checks
+    that it spans the graph and reads the tree's kept walk, so a tree that
+    is already a HostTree is not walked again. Every other claim is
+    checked on the walk's index. Each recorded cycle is compared with the
+    vertices of its tree path, the indices below the path's top and the
+    top (_below). The hub is found by its index, and the witness edge by
+    the index x whose parent edge it names: it names a tree edge only when
+    it equals the sorted pair of x and its parent, so a reversed, non-tree
+    or unknown witness names none. The witness is on a matching edge e's
+    cycle when x is on e's tree path, or when it is e itself, and on the
+    u-v path when x is. Returns a falsy report with reasons instead of
+    raising, so tampered certificates are diagnosed rather than rejected
+    with an exception.
     """
     reasons = []
     if cert.level != rt.level:
@@ -257,19 +269,29 @@ def verify_certificate(rt: ReflectedTree, cert: WidthCertificate) -> Certificate
         reasons.append("cycle record does not match the matching")
     if reasons:
         return CertificateCheck(False, tuple(reasons))
+    index, vertices, parent = host.index, host.vertices, host._parent
+    hub, witness = cert.hub, cert.witness_edge
+    h = index.get(hub)
+    x = -1  # the index whose parent edge the witness names, if any
+    if isinstance(witness, tuple) and len(witness) == 2:
+        i, j = index.get(witness[0]), index.get(witness[1])
+        if i is not None and j is not None and i < j:
+            x = i if parent[i] == j else j if parent[j] == i else -1
+    else:
+        hash(witness)  # unhashable: raise as a lookup in an edge set does
     u, v = rt.roots
-    puv = host._edges(host._below(host.index[u], host.index[v])[0])
     for e in edges:
-        cyc = host.cycle(e)
-        if cyc.vertices != cert.cycles[e]:
+        below, top = host._below(index[e[0]], index[e[1]])
+        cycle = frozenset([vertices[y] for y in below] + [vertices[top]])
+        if cycle != cert.cycles[e]:
             reasons.append(f"recorded cycle of {e!r} is wrong")
-        if cert.hub not in cyc.vertices:
-            reasons.append(f"hub {cert.hub!r} misses the cycle of {e!r}")
-        if cert.witness_edge not in cyc.edges:
+        if h is None or (h != top and h not in below):
+            reasons.append(f"hub {hub!r} misses the cycle of {e!r}")
+        if x not in below and witness != e:
             reasons.append(f"witness edge misses the cycle of {e!r}")
-    if cert.witness_edge not in puv:
+    if x not in host._below(index[u], index[v])[0]:
         reasons.append("witness edge is not on the u-v tree path")
-    if cert.hub not in cert.witness_edge:
+    if hub not in witness:
         reasons.append("hub is not an endpoint of the witness edge")
     return CertificateCheck(not reasons, tuple(reasons))
 

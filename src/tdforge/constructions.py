@@ -42,7 +42,9 @@ class ReflectedTree:
     copies: Optional[Tuple["ReflectedTree", "ReflectedTree"]]
 
 
-def _guard_pow(base: int, exponent: int, what: str) -> int:
+def _guard_bits(base: int, exponent: int, what: str) -> None:
+    """Refuse base ** exponent, and anything as large, past
+    MAX_SCHEDULE_BITS bits, before it is computed."""
     # integer arithmetic only: the exponent itself can be too large for a
     # float, so even computing a log here would overflow before the guard
     bits = exponent * base.bit_length() if base > 1 else 0
@@ -50,6 +52,10 @@ def _guard_pow(base: int, exponent: int, what: str) -> int:
         raise ScheduleTooLarge(
             f"{what} needs more than {MAX_SCHEDULE_BITS} bits; "
             "nothing that large fits in memory")
+
+
+def _guard_pow(base: int, exponent: int, what: str) -> int:
+    _guard_bits(base, exponent, what)
     return base ** exponent
 
 
@@ -106,7 +112,24 @@ def ary_tree_size(width: int, height: int) -> int:
         raise ValueError("need width >= 1 and height >= 0")
     if width == 1:
         return height + 1
-    return (_guard_pow(width, height + 1, _ary(width, height)) - 1) // (width - 1)
+    # the sum 1 + w + ... + w^h is below w^(h+1), which the guard bounds
+    _guard_bits(width, height + 1, _ary(width, height))
+    # By multiplications only: a long division by w - 1 is quadratic in
+    # the digits. With S_N = 1 + w + ... + w^(N-1), S_2N = S_N (1 + w^N)
+    # and S_(2N+1) = S_2N + w^2N; N runs over the leading bits of h + 1,
+    # and the last step computes no power it does not add.
+    total, power = 1, width  # S_1 and w^1
+    bits = bin(height + 1)[3:]
+    for k, bit in enumerate(bits, 1):
+        more = k < len(bits)
+        total *= 1 + power
+        if bit == "1" or more:
+            power *= power
+        if bit == "1":
+            total += power
+            if more:
+                power *= width
+    return total
 
 
 def complete_ary_tree(width: int, height: int, cap: int = DEFAULT_CAP,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
-from .graphs import Graph, Vertex, is_tree
+from .graphs import Graph, Vertex
 
 EMPTY_SUBTREE = "empty-subtree"
 DISCONNECTED_SUBTREE = "disconnected-subtree"
@@ -52,7 +52,9 @@ class TreeDecomposition:
     """Host tree plus bags. Immutable; bags are stored as frozensets.
 
     The host is checked to be a tree here, once, so nothing that takes a
-    decomposition checks it again. Every host node gets a bag entry
+    decomposition checks it again. The check reads the host's kept walk
+    (Graph._tree_walk), so a host that a HostTree already walked, such as
+    the decider's, is not walked again. Every host node gets a bag entry
     (missing entries become empty bags).
     Whether the bags satisfy the decomposition conditions for a particular
     graph is checked by validate, not here; the decomposition keeps
@@ -62,7 +64,7 @@ class TreeDecomposition:
     __slots__ = ("_host", "_bags", "_checked")
 
     def __init__(self, host: Graph, bags: Mapping[Vertex, Iterable[Vertex]]):
-        if not is_tree(host):
+        if host._tree_walk() is None:
             raise ValueError("host must be a tree")
         stray = set(bags) - host.vertex_set
         if stray:

@@ -10,7 +10,8 @@ are deterministic: ties are broken by sorting identifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Set, Tuple)
 
 Vertex = object  # opaque, order-comparable token; str in practice
 Edge = Tuple[Vertex, Vertex]
@@ -31,7 +32,7 @@ class Graph:
     form a set).
     """
 
-    __slots__ = ("_vertices", "_vset", "_edges", "_adj", "_index")
+    __slots__ = ("_vertices", "_vset", "_edges", "_adj", "_index", "_walk")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable = ()):
         vs = tuple(vertices)
@@ -54,6 +55,7 @@ class Graph:
         self._edges = frozenset(es)
         self._adj = None  # neighbour tuples, built when first asked for
         self._index = None
+        self._walk = None  # a tree's parents and depths, kept once walked
 
     @property
     def vertices(self) -> Tuple[Vertex, ...]:
@@ -128,7 +130,21 @@ class Graph:
         sub._edges = frozenset(edges)
         sub._adj = None
         sub._index = self.indexed()
+        sub._walk = None
         return sub
+
+    def _tree_walk(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """This graph as a rooted tree, or None if it is not a tree: each
+        index's parent (the root its own parent) and depth over the sorted
+        index, as tuples. A breadth-first walk from index 0 over the edges
+        as index pairs finds them the first time; they are kept once it
+        reaches every vertex, and a graph with n-1 edges is a tree exactly
+        then. Later calls read them, whichever walk filled them (see
+        HostTree._from_parents)."""
+        walk = self._walk
+        if walk is None and len(self._edges) == len(self._vertices) - 1:
+            walk = self._walk = _walk_tree(self)
+        return walk
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -159,6 +175,32 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def _walk_tree(t: Graph) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The walk of Graph._tree_walk, or None when it misses a vertex."""
+    vertices, index = t.indexed()
+    n = len(vertices)
+    nbrs: List[List[int]] = [[] for _ in range(n)]
+    for a, b in t.edges:
+        i, j = index[a], index[b]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    parent = [-1] * n
+    depth = [0] * n
+    parent[0] = 0
+    order = [0]
+    append = order.append
+    for x in order:
+        d = depth[x] + 1
+        for y in nbrs[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                depth[y] = d
+                append(y)
+    if len(order) != n:
+        return None
+    return tuple(parent), tuple(depth)
 
 
 def component_in(g: Graph, nodes: AbstractSet[Vertex],
@@ -206,20 +248,24 @@ class Cycle:
 
 
 class HostTree:
-    """A spanning tree t of a graph g, checked once and indexed for paths.
+    """A spanning tree t of a graph g, checked on every construction and
+    indexed for paths.
 
-    Construction checks that t is a spanning tree of g and takes g's shared
-    index (vertices in sorted order, and index), so only the traversal is
-    left: over t's edges as index pairs, rooted at index 0, it records each
-    index's neighbours, parent and depth. Two walkers read the tree
-    without re-checking it. _below climbs from both ends of a path to
-    their common ancestor, in time linear in the path's length; cycle and
-    the certificates read paths from it, and _edges names their edges.
-    path_row gives the paths from every index to one index as bitmasks
-    over the same index, for the decider.
+    Construction checks that t spans g (the same vertex set, edges of g)
+    and reads t's kept walk (Graph._tree_walk), which refuses a t that is
+    not a tree: each index's parent and depth over g's shared index
+    (vertices in sorted order, and index), which t's own index equals. The
+    walk is made once per tree Graph, so a tree checked again, as
+    verify_certificate checks a certificate's host, is not walked again.
+    Two walkers read the tree without re-checking it. _below climbs from
+    both ends of a path to their common ancestor, in time linear in the
+    path's length; the certificates read paths from it, and _edges names
+    their edges for cycle. path_row gives the paths from every index to
+    one index as bitmasks over the same index, for the decider, from
+    neighbour lists it builds on first use.
 
-    Any vertex may be the root, which is its own parent: index 0 for
-    HostTree(g, t), g.vertices[0] for a tree drawn by the sampler (see
+    Any vertex may be the root, which is its own parent: index 0 for a
+    walk made here, g.vertices[0] for a tree drawn by the sampler (see
     _from_parents). No query reads which vertex it is.
     """
 
@@ -228,39 +274,16 @@ class HostTree:
 
     def __init__(self, g: Graph, t: Graph):
         if ((t.vertex_set is not g.vertex_set and t.vertex_set != g.vertex_set)
-                or not t.edges <= g.edges or len(t.edges) != len(t) - 1):
+                or not t.edges <= g.edges):
             raise ValueError("host is not a spanning tree of g")
-        vertices, index = g.indexed()
-        n = len(vertices)
-        # neighbours as indices, from t's edges: t's own adjacency is never
-        # read, so a sampled tree need not build it
-        nbrs: List[List[int]] = [[] for _ in range(n)]
-        for a, b in t.edges:
-            i, j = index[a], index[b]
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        parent = [-1] * n
-        depth = [0] * n
-        parent[0] = 0
-        order = [0]
-        append = order.append
-        for x in order:
-            d = depth[x] + 1
-            for y in nbrs[x]:
-                if parent[y] < 0:
-                    parent[y] = x
-                    depth[y] = d
-                    append(y)
-        # n-1 edges and connected: a tree
-        if len(order) != len(vertices):
+        walk = t._tree_walk()
+        if walk is None:
             raise ValueError("host is not a spanning tree of g")
         self.graph = g
         self.tree = t
-        self.vertices = vertices
-        self.index = index
-        self._nbrs = nbrs
-        self._parent = parent
-        self._depth = depth
+        self.vertices, self.index = g.indexed()
+        self._nbrs = None
+        self._parent, self._depth = walk
 
     @classmethod
     def _from_parents(cls, g: Graph, t: Graph, parent: List[int],
@@ -268,15 +291,14 @@ class HostTree:
         """The HostTree of t from its parent and depth lists over g's index,
         unchecked: the caller built t as a spanning tree of g from
         _spanning_subgraph, and parent and depth from the same edges, the
-        root its own parent. The neighbour lists are built when path_row
-        first needs them."""
+        root its own parent. They become t's kept walk, so HostTree(g, t)
+        reads them too."""
         host = cls.__new__(cls)
         host.graph = g
         host.tree = t
         host.vertices, host.index = g.indexed()
         host._nbrs = None
-        host._parent = parent
-        host._depth = depth
+        host._parent, host._depth = t._walk = (tuple(parent), tuple(depth))
         return host
 
     def _below(self, i: int, j: int) -> Tuple[Set[int], int]:

@@ -59,15 +59,43 @@ def _chunks(o, pad: str, levels: int) -> Iterator[str]:
 
 def int_text(n: int) -> str:
     """str(n), exact at any size: str() refuses past
-    sys.get_int_max_str_digits() digits (never below 640), so n is split at
-    a power of ten until each piece is below 2^2000 (603 digits)."""
+    sys.get_int_max_str_digits() digits (never below 640), so n past 2^2000
+    (603 digits) is built as a decimal.Decimal and written from that.
+
+    int division is quadratic in the digits, so n is split at powers of two
+    instead: n = high * 2^w + low becomes high * D(2)^w + low in decimal
+    arithmetic, whose multiplication is fast at this size, under a context
+    with every digit it needs (prec=MAX_PREC, Emax=MAX_EMAX) and Inexact
+    trapped, so every step is exact. This is the method of CPython 3.12's
+    _pylong.int_to_decimal_string. decimal is imported only on this path."""
     if n < 0:
         return "-" + int_text(-n)
     if n.bit_length() <= 2000:
         return str(n)
-    digits = n.bit_length() * 3 // 20  # log10(2) / 2 is about 3 / 20
-    high, low = divmod(n, 10 ** digits)
-    return int_text(high) + int_text(low).zfill(digits)
+    import decimal
+    D = decimal.Decimal
+    powers: Dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        # each power is computed once
+        p = powers.get(w)
+        if p is None:
+            p = powers[w] = D(2) ** w
+        return p
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        # n < 2^w
+        if w <= 128:
+            return D(n)
+        half = w >> 1
+        high = n >> half
+        return (convert(n - (high << half), half)
+                + convert(high, w - half) * power(half))
+
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              traps=[decimal.Inexact])
+    with decimal.localcontext(context):
+        return str(convert(n, n.bit_length()))
 
 
 def _text(o, pad: str) -> str:

@@ -49,10 +49,16 @@ class DeciderResult:
 def enumerate_spanning_trees(g: Graph) -> Iterator[Graph]:
     """Stream every spanning tree of g exactly once, deterministically.
 
-    Branches on including or excluding each edge in a fixed order; the
-    exclude branch is taken only when the remaining edges can still connect
-    the graph, so no dead subtree is ever entered. Trees are built without
-    checks from g's own edges.
+    Branches on including or excluding each edge in sorted order, include
+    first; the exclude branch is taken only when the remaining edges can
+    still connect the graph, so no dead subtree is ever entered, and an
+    include branch always completes. The search runs from an explicit
+    stack of the edges it included, each with the union-find link it made:
+    it descends by including every edge that joins two components until
+    n-1 are chosen, yields that tree, and backtracks by undoing the last
+    inclusion and taking its exclude branch if it can. Trees are built
+    without checks from g's own edges, and lazily: each is yielded from
+    the one loop, whatever the depth.
     """
     if not is_connected(g):
         raise ValueError("need a connected graph")
@@ -63,19 +69,15 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[Graph]:
     m = len(edges)
     parent = list(range(n))
 
-    def find(p: List[int], x: int) -> int:
-        while p[x] != x:
-            x = p[x]
-        return x
-
     def connectable(start: int, merges_left: int) -> bool:
-        if merges_left == 0:
-            return True
-        if m - start < merges_left:
-            return False
+        # merges_left >= 1 edges of start..m-1 must join components
         p2 = parent.copy()
         for j in range(start, m):
-            ra, rb = find(p2, pairs[j][0]), find(p2, pairs[j][1])
+            ra, rb = pairs[j]
+            while p2[ra] != ra:
+                ra = p2[ra]
+            while p2[rb] != rb:
+                rb = p2[rb]
             if ra != rb:
                 p2[ra] = rb
                 merges_left -= 1
@@ -84,27 +86,34 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[Graph]:
         return False
 
     chosen: List = []
-
-    def rec(i: int):
-        if len(chosen) == n - 1:
-            yield g._spanning_subgraph(chosen)
+    included: List[Tuple[int, int]] = []  # (edge position, root it linked)
+    i = 0
+    while True:
+        for i in range(i, m):
+            if len(chosen) == n - 1:
+                break
+            ra, rb = pairs[i]
+            while parent[ra] != ra:
+                ra = parent[ra]
+            while parent[rb] != rb:
+                rb = parent[rb]
+            if ra != rb:
+                parent[ra] = rb
+                chosen.append(edges[i])
+                included.append((i, ra))
+        yield g._spanning_subgraph(chosen)
+        while included:
+            j, ra = included.pop()
+            chosen.pop()
+            parent[ra] = ra
+            # exclude edge j: the edges after it must still make the
+            # n-1-len(chosen) >= 1 merges left
+            i = j + 1
+            left = n - 1 - len(chosen)
+            if m - i >= left and connectable(i, left):
+                break
+        else:
             return
-        if i == m:
-            return
-        a, b = pairs[i]
-        ra, rb = find(parent, a), find(parent, b)
-        if ra == rb:
-            yield from rec(i + 1)
-            return
-        parent[ra] = rb
-        chosen.append(edges[i])
-        yield from rec(i + 1)
-        chosen.pop()
-        parent[ra] = ra
-        if connectable(i + 1, n - 1 - len(chosen)):
-            yield from rec(i + 1)
-
-    yield from rec(0)
 
 
 def _det_bareiss(mat: List[List[int]]) -> int:

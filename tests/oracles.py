@@ -8,7 +8,9 @@ rng.choice for the spanning-tree walk, relabelling for the reflected
 tree, a level-by-level breadth-first search for components, the
 connectivity and spanning-tree predicates built on it, a validator that
 searches every subtree with it, and name-set recursion over that search
-for the certificate. from_subtrees
+for the certificate. verify_certificate_by_sets is the package's former
+certificate check, kept verbatim: it re-checks every claim on named edge
+sets and a Cycle per matching edge. from_subtrees
 builds a decomposition from explicit subtrees, checking each one with
 that search; the naive decider builds its candidates with it, and tests
 use it to write decompositions by their subtrees. None of it shares code
@@ -22,13 +24,14 @@ import itertools
 import random
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
+from tdforge.certificates import CertificateCheck, WidthCertificate
 from tdforge.constructions import ReflectedTree
 from tdforge.decomposition import (DISCONNECTED_SUBTREE, EMPTY_SUBTREE,
                                    UNCOVERED_EDGE, TreeDecomposition,
                                    ValidationReport, Violation, is_anchored,
                                    validate)
 from tdforge.errors import StructureViolation
-from tdforge.graphs import Edge, Graph, Vertex, edge
+from tdforge.graphs import Edge, Graph, HostTree, Vertex, edge
 from tdforge.search import _wilson
 
 
@@ -459,3 +462,53 @@ def reference_matching(rt: ReflectedTree, t: Graph
     witness = min(common)
     return (matching, min(witness), witness,
             {e: frozenset(p) for e, p in paths.items()})
+
+
+def verify_certificate_by_sets(rt: ReflectedTree, cert: WidthCertificate
+                               ) -> CertificateCheck:
+    """Recheck every certificate invariant from scratch.
+
+    The host is checked again by a HostTree of its own (over the graph's
+    shared index), and cycles and the u-v path are named edge sets: a
+    second route beside reflected_matching's plan. Returns a falsy report
+    with reasons instead of raising, so tampered certificates are
+    diagnosed rather than rejected with an exception.
+    """
+    reasons = []
+    if cert.level != rt.level:
+        reasons.append(f"level {cert.level} does not match the graph's {rt.level}")
+    try:
+        host = HostTree(rt.graph, cert.host)
+    except ValueError:
+        reasons.append("host is not a spanning tree of the reflected tree")
+        return CertificateCheck(False, tuple(reasons))
+    edges = sorted(cert.matching.edges)
+    if len(edges) != rt.level - 1:
+        reasons.append(f"matching has {len(edges)} edges, expected {rt.level - 1}")
+    endpoints = [v for e in edges for v in e]
+    if len(set(endpoints)) != len(endpoints):
+        reasons.append("matching edges share endpoints")
+    for e in edges:
+        if e not in rt.graph.edges:
+            reasons.append(f"{e!r} is not an edge of the graph")
+        elif e in cert.host.edges:
+            reasons.append(f"{e!r} is a tree edge")
+    if set(cert.cycles) != set(edges):
+        reasons.append("cycle record does not match the matching")
+    if reasons:
+        return CertificateCheck(False, tuple(reasons))
+    u, v = rt.roots
+    puv = host._edges(host._below(host.index[u], host.index[v])[0])
+    for e in edges:
+        cyc = host.cycle(e)
+        if cyc.vertices != cert.cycles[e]:
+            reasons.append(f"recorded cycle of {e!r} is wrong")
+        if cert.hub not in cyc.vertices:
+            reasons.append(f"hub {cert.hub!r} misses the cycle of {e!r}")
+        if cert.witness_edge not in cyc.edges:
+            reasons.append(f"witness edge misses the cycle of {e!r}")
+    if cert.witness_edge not in puv:
+        reasons.append("witness edge is not on the u-v tree path")
+    if cert.hub not in cert.witness_edge:
+        reasons.append("hub is not an endpoint of the witness edge")
+    return CertificateCheck(not reasons, tuple(reasons))

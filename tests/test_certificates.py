@@ -2,10 +2,12 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
-from oracles import bfs_path, path_edges, reference_matching
+from oracles import (bfs_path, path_edges, reference_matching,
+                     verify_certificate_by_sets)
 from tdforge.certificates import (
     MatchingPlan,
     WidthCertificate,
@@ -187,6 +189,142 @@ class TestVerifyCertificate:
         check = verify_certificate(RT2, bad)
         assert not check
         assert any("is a tree edge" in r for r in check.reasons)
+
+
+def matching_of(edges) -> Matching:
+    """A Matching holding exactly these edges, without its check, so a
+    tampered certificate can carry edges that share an endpoint."""
+    m = Matching(frozenset())
+    object.__setattr__(m, "edges", frozenset(edges))
+    return m
+
+
+def tampered(rt, cert, rng):
+    """(what, certificate) pairs: cert with each field tampered, several
+    ways each."""
+    g, t = rt.graph, cert.host
+    vertices = sorted(g.vertices)
+    tree = sorted(t.edges)
+    non_tree = sorted(g.edges - t.edges)
+    matching = sorted(cert.matching.edges)
+    spare = [e for e in non_tree if e not in cert.matching.edges]
+    e0 = matching[0]
+    replace = dataclasses.replace
+
+    def with_matching(edges):
+        return replace(cert, matching=matching_of(edges),
+                       cycles={e: cert.cycles.get(e, frozenset(e))
+                               for e in edges})
+
+    yield "level up", replace(cert, level=cert.level + 1)
+    yield "level down", replace(cert, level=cert.level - 1)
+    for _ in range(3):
+        swapped = set(tree) - {rng.choice(tree)} | {rng.choice(non_tree)}
+        yield "host edge swapped", replace(cert, host=Graph(t.vertices, swapped))
+    yield "host edge dropped", replace(cert, host=Graph(t.vertices, tree[1:]))
+    yield "host on more vertices", replace(
+        cert, host=Graph(list(t.vertices) + ["zz"], tree + [("u", "zz")]))
+    if spare:
+        extra = rng.choice(spare)
+        yield "matching edge added", replace(
+            cert, matching=matching_of(matching + [extra]))
+        yield "matching edge added with its cycle", with_matching(
+            matching + [extra])
+    sharing = [e for e in non_tree if e != e0 and set(e) & set(e0)]
+    if sharing:
+        yield "matching edges share an endpoint", with_matching(
+            matching[1:] + [rng.choice(sharing)])
+    yield "matching holds a tree edge", with_matching(
+        matching[1:] + [rng.choice(tree)])
+    non_edges = [(a, b) for a, b in itertools.combinations(vertices, 2)
+                 if (a, b) not in g.edges]
+    yield "matching holds a non-edge", with_matching(
+        matching[1:] + [rng.choice(non_edges)])
+    cycles = dict(cert.cycles)
+    outside = sorted(set(vertices) - cycles[e0])
+    if outside:
+        yield "cycle vertex added", replace(cert, cycles={
+            **cycles, e0: cycles[e0] | {rng.choice(outside)}})
+    yield "cycle vertex dropped", replace(cert, cycles={
+        **cycles, e0: cycles[e0] - {rng.choice(sorted(cycles[e0]))}})
+    if spare:
+        renamed = dict(cycles)
+        renamed[rng.choice(spare)] = renamed.pop(e0)
+        yield "cycle key changed", replace(cert, cycles=renamed)
+    for e in matching[1:]:
+        only = sorted(cycles[e0] - cycles[e])
+        if only:
+            yield "hub on some cycles only", replace(cert, hub=rng.choice(only))
+    yield "hub outside the graph", replace(cert, hub="zz")
+    yield "hub elsewhere", replace(cert, hub=rng.choice(vertices))
+    a, b = cert.witness_edge
+    off_path = sorted(set(tree) - {cert.witness_edge})
+    for what, w in [("witness reversed", (b, a)),
+                    ("witness a non-tree edge", rng.choice(non_tree)),
+                    ("witness the matching edge", e0),
+                    ("witness another tree edge", rng.choice(off_path)),
+                    ("witness a non-edge", rng.choice(non_edges)),
+                    ("witness outside the graph", ("u", "zz"))]:
+        yield what, replace(cert, witness_edge=w)
+        yield what + ", hub its end", replace(cert, witness_edge=w, hub=w[0])
+
+
+class TestVerifierMatchesReference:
+    """verify_certificate, on the index, gives the former named-set check
+    (oracles.verify_certificate_by_sets) exactly: the same ok and the same
+    reasons in the same order, on genuine certificates and on copies with
+    every field tampered. The reference gets a fresh copy of the host, so
+    it walks the tree itself."""
+
+    @staticmethod
+    def assert_same(rt, cert):
+        fresh = dataclasses.replace(
+            cert, host=Graph(cert.host.vertices, cert.host.edges))
+        want = verify_certificate_by_sets(rt, fresh)
+        got = verify_certificate(rt, cert)
+        assert (got.ok, got.reasons) == (want.ok, want.reasons)
+        return got
+
+    def check_trees(self, rt, trees, seed):
+        rng = random.Random(seed)
+        plan = MatchingPlan(rt)
+        seen = set()
+        for host in trees:
+            cert = reflected_matching(rt, host, plan)
+            assert self.assert_same(rt, cert)
+            for what, bad in tampered(rt, cert, rng):
+                if not self.assert_same(rt, bad):
+                    seen.add(what)
+        return seen
+
+    def test_all_level3_trees(self):
+        rt = reflected_tree(3)
+        trees = (HostTree(rt.graph, t) for t in enumerate_spanning_trees(rt.graph))
+        seen = self.check_trees(rt, trees, seed=3)
+        # every kind of tampering was refused somewhere
+        assert {"witness reversed", "hub outside the graph",
+                "witness the matching edge", "witness another tree edge",
+                "hub on some cycles only", "cycle key changed",
+                "matching edges share an endpoint", "host edge dropped",
+                "level up"} <= seen
+
+    def test_unhashable_hub_or_witness_raises_alike(self):
+        rt = reflected_tree(3)
+        cert = reflected_matching(rt, next(enumerate_spanning_trees(rt.graph)))
+        for bad in (dataclasses.replace(cert, hub=["u"]),
+                    dataclasses.replace(cert, witness_edge=list(cert.witness_edge)),
+                    dataclasses.replace(cert, witness_edge=(["u"], "v"))):
+            with pytest.raises(TypeError) as want:
+                verify_certificate_by_sets(rt, bad)
+            with pytest.raises(TypeError) as got:
+                verify_certificate(rt, bad)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("level, count", [(4, 40), (5, 15), (6, 6)])
+    def test_sampled_trees(self, level, count):
+        rt = reflected_tree(level)
+        self.check_trees(rt, sample_spanning_trees(rt.graph, count, seed=level),
+                         seed=level)
 
 
 def anchored_td_on_tree1():

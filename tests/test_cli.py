@@ -706,6 +706,21 @@ class TestPipeline:
         # checked twice
         assert sorted(Counter(map(id, built)).values()) == [2] * 96
 
+    def test_each_tree_is_walked_once(self, capsys, monkeypatch):
+        """Of the two HostTrees per tree, only the first walks the tree:
+        verify_certificate's re-check reads the walk the tree keeps."""
+        from tdforge import graphs
+        walked = []
+        walk = graphs._walk_tree
+
+        def counting(t):
+            walked.append(t)
+            return walk(t)
+
+        monkeypatch.setattr(graphs, "_walk_tree", counting)
+        assert main(["pipeline", "--k", "1"]) == 0
+        assert sorted(Counter(map(id, walked)).values()) == [1] * 96
+
     def test_failed_checks_keep_their_order(self, capsys, monkeypatch):
         """The fifth certificate fails and the third tree decides SAT: both
         checks fail, certifying stops at the failure, and the certificates

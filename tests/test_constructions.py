@@ -1,5 +1,7 @@
 """Reflected trees, complete ary trees, schedules, gadget attachment."""
 
+import random
+
 import pytest
 
 from tdforge.constructions import (
@@ -105,6 +107,17 @@ class TestAryTrees:
                 assert ary_tree_size(w, h) == sum(w ** i for i in range(h + 1))
         with pytest.raises(ValueError):
             ary_tree_size(0, 1)
+
+    def test_size_agrees_with_the_division_formula(self):
+        """ary_tree_size sums by multiplications only; it equals
+        (w^(h+1) - 1) / (w - 1) on a seeded sample of widths up to 2^300
+        and heights up to 200, every binary pattern of h + 1 included."""
+        rng = random.Random(24)
+        cases = [(w, h) for w in (2, 3, 10) for h in range(0, 70)]
+        cases += [(rng.randrange(2, 2 ** rng.randrange(2, 300)),
+                   rng.randrange(0, 200)) for _ in range(300)]
+        for w, h in cases:
+            assert ary_tree_size(w, h) == (w ** (h + 1) - 1) // (w - 1)
 
     def test_complete_ary_tree(self):
         t = complete_ary_tree(2, 2)

@@ -274,6 +274,89 @@ class TestHostTree:
             HostTree(square_plus, square_plus)
 
 
+def count_walks(monkeypatch):
+    """Every tree walk made from here on, as the list of walked graphs
+    (kept alive, so their ids stay distinct)."""
+    from tdforge import graphs
+    walked = []
+    real = graphs._walk_tree
+
+    def counting(t):
+        walked.append(t)
+        return real(t)
+
+    monkeypatch.setattr(graphs, "_walk_tree", counting)
+    return walked
+
+
+class TestWalkOnce:
+    """A tree Graph keeps its walk: HostTree and TreeDecomposition read it,
+    while the spanning checks against g run on every call."""
+
+    def test_two_host_trees_walk_once(self, monkeypatch):
+        walked = count_walks(monkeypatch)
+        g = cycle_graph(5)
+        t = Graph(g.vertices, sorted(g.edges)[1:])
+        first, second = HostTree(g, t), HostTree(g, t)
+        assert walked == [t]
+        assert first._parent is second._parent and first._depth is second._depth
+        assert type(first._parent) is tuple and type(first._depth) is tuple
+        assert t._tree_walk() is t._tree_walk()
+
+    def test_a_sampled_tree_keeps_the_samplers_walk(self, monkeypatch):
+        walked = count_walks(monkeypatch)
+        g = complete_graph(6)
+        for drawn in sample_spanning_trees(g, 5, seed=2):
+            host = HostTree(g, drawn.tree)
+            assert host._parent is drawn._parent and host._depth is drawn._depth
+        assert walked == []
+
+    def test_refusals_on_every_call(self, monkeypatch):
+        """A g that a walked t does not span (another vertex set, an edge
+        outside g), and a t that is not a tree, are refused on every call
+        with the same ValueError; a t that is not a tree keeps no walk."""
+        walked = count_walks(monkeypatch)
+        g = cycle_graph(5)
+        t = Graph(g.vertices, sorted(g.edges)[1:])
+        HostTree(g, t)
+        bigger = Graph(list(g.vertices) + ["z"], g.edges | {("c00", "z")})
+        fewer = Graph(g.vertices, sorted(g.edges)[2:])
+        other = Graph(g.vertices, fewer.edges | {("c00", "c02")})
+        cyclic_plus = Graph(["a", "b", "c", "d", "e"],
+                            [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        square = Graph(["a", "b", "c", "d", "e"],
+                       cyclic_plus.edges | {("a", "c"), ("d", "e")})
+        for host_g, tree in [(bigger, t), (fewer, t), (other, t),
+                             (square, cyclic_plus), (g, fewer)]:
+            for _ in range(2):
+                with pytest.raises(ValueError) as got:
+                    HostTree(host_g, tree)
+                assert str(got.value) == "host is not a spanning tree of g"
+        assert cyclic_plus._walk is None and fewer._walk is None
+        assert walked.count(t) == 1 and walked.count(cyclic_plus) == 2
+        assert fewer not in walked  # n-2 edges: refused without a walk
+        assert HostTree(g, t)._parent is t._walk[0]
+
+    def test_decomposition_reads_the_walk(self, monkeypatch):
+        """TreeDecomposition checks its host by the kept walk, with the
+        same error; the decider's witness host is walked once, by the
+        HostTree the decider builds."""
+        from tdforge.decomposition import TreeDecomposition
+        from tdforge.search import min_width_on_tree
+        walked = count_walks(monkeypatch)
+        g = complete_graph(4)
+        t = Graph(g.vertices, [("k00", "k01"), ("k01", "k02"), ("k02", "k03")])
+        res = min_width_on_tree(g, t, 3, anchored=True)
+        assert res.is_sat and res.witness.host is t
+        TreeDecomposition(t, {})
+        assert walked == [t]
+        for host in (cycle_graph(4), Graph(["a", "b"]),
+                     Graph(["a", "b", "c"], [("a", "b")])):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="^host must be a tree$"):
+                    TreeDecomposition(host, {})
+
+
 class TestSharedIndex:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=9),

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +297,27 @@ class TestIntText:
             sign = text[0] == "-"
             assert text.lstrip("-")[0] != "0"
             assert (-1 if sign else 1) * exact_int(text.lstrip("-")) == n
+
+    @settings(max_examples=120, deadline=None)
+    @given(bits=st.integers(min_value=1, max_value=40000),
+           seed=st.integers(min_value=0, max_value=2 ** 31),
+           digits=st.integers(min_value=590, max_value=12000),
+           step=st.integers(min_value=-2, max_value=2))
+    def test_decimal_route_is_str(self, bits, seed, digits, step):
+        """Past 2^2000, int_text converts through decimal; it writes what
+        str() writes with the digit limit lifted, for random values, their
+        negations, and values beside powers of ten and of two."""
+        rng = random.Random(seed)
+        values = [rng.getrandbits(bits) | 1 << (bits - 1), 10 ** digits + step,
+                  2 ** (digits * 3) + step, 2 ** 2000 + step]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for n in values:
+                assert io.int_text(n) == str(n)
+                assert io.int_text(-n) == str(-n)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_json_writes_a_huge_int_exactly(self):
         n = 11 ** 9000

@@ -47,6 +47,24 @@ class TestEnumerateSpanningTrees:
         assert len(list(enumerate_spanning_trees(cycle_graph(4)))) == 4
         assert len(list(enumerate_spanning_trees(complete_graph(4)))) == 16
 
+    @pytest.mark.parametrize("level, digest", [
+        (3, "f8b3c77d5fab2b94ac0df34f2b6f22ddc902fdcbb6ac81ed5a8fff9b27d870f5"),
+        (4, "951b1c668058fc83433569abe29c7555ba2d41172b4c341654f3fefc6f61052d"),
+    ])
+    def test_order_is_pinned(self, level, digest):
+        """The include-first order over sorted edges: sha256 over each
+        tree's sorted edges, written a,b and joined by ;, one tree a line,
+        for all 96 level-3 and all 64,512 level-4 trees."""
+        h = hashlib.sha256()
+        for t in enumerate_spanning_trees(reflected_tree(level).graph):
+            h.update((";".join(f"{a},{b}" for a, b in sorted(t.edges))
+                      + "\n").encode())
+        assert h.hexdigest() == digest
+
+    def test_a_one_vertex_graph_has_one_tree(self):
+        g = Graph(["a"])
+        assert [t.edges for t in enumerate_spanning_trees(g)] == [frozenset()]
+
     def test_yields_distinct_spanning_trees(self):
         g = complete_graph(4)
         seen = set()
